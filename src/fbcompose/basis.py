@@ -65,29 +65,26 @@ class ParamRange:
 
 
 def make_config(kind: str, params: Mapping[str, float]) -> FilterConfig:
-    """Build a FilterConfig from canonical short parameter names."""
+    """Build a FilterConfig from canonical short parameter names.
+
+    Integer parameters accept grid values within 1e-9 of an integer; extra
+    names are ignored.
+    """
     kind = kind.lower()
-
-    def integer(name: str) -> int:
-        value = float(params[name])
-        if abs(value - round(value)) > 1e-9:
-            raise ValueError(f"parameter {name!r} must be an integer, got {value}")
-        return int(round(value))
-
-    try:
-        if kind == "bilateral":
-            return filters.Bilateral(float(params["ss"]), float(params["sr"]), integer("k"))
-        if kind == "median":
-            return filters.Median(integer("k1"), integer("k2"))
-        if kind == "rgf":
-            return filters.RollingGuidance(
-                float(params["sr"]), float(params["ss"]), integer("k"), integer("t")
-            )
-        if kind == "gauss":
-            return filters.Gaussian(float(params["ss"]))
-    except KeyError as exc:
-        raise ValueError(f"missing parameter {exc} for filter kind {kind!r}") from None
-    raise ValueError(f"unknown filter kind {kind!r}")
+    if kind not in filters.KINDS:
+        raise ValueError(f"unknown filter kind {kind!r}")
+    cls = filters.KINDS[kind]
+    values = []
+    for short, _, is_int in cls.PARAMS:
+        if short not in params:
+            raise ValueError(f"missing parameter {short!r} for filter kind {kind!r}")
+        value = float(params[short])
+        if is_int:
+            if abs(value - round(value)) > 1e-9:
+                raise ValueError(f"parameter {short!r} must be an integer, got {value}")
+            value = int(round(value))
+        values.append(value)
+    return cls(*values)
 
 
 def dis_grid(
@@ -367,13 +364,18 @@ def read_preset(path) -> list[FilterConfig]:
     return configs
 
 
-def write_calibration_report(scored: Sequence[Candidate], path) -> None:
-    """CSV of `config,score_db` rows (config strings are quoted)."""
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header row and then ``rows`` with the csv module's defaults."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["config", "score_db"])
-        for cand in scored:
-            writer.writerow([cand.config.canonical(), repr(cand.score)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_calibration_report(scored: Sequence[Candidate], path) -> None:
+    """CSV of `config,score_db` rows (config strings are quoted)."""
+    rows = ([cand.config.canonical(), repr(cand.score)] for cand in scored)
+    write_csv(path, ["config", "score_db"], rows)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .basis import (
     iis_select,
     read_preset,
     write_calibration_report,
+    write_csv,
     write_preset,
 )
 from .filters import FilterConfig, parse_config
@@ -77,9 +78,26 @@ def _load_preset(spec: str) -> list[FilterConfig]:
     return read_preset(spec)
 
 
-def _load_dataset(path: str, seed: int):
-    spec = DatasetSpec.read(path)
-    return spec, spec.load(seed)
+def _load_dataset(path: str, seed: int) -> list:
+    return DatasetSpec.read(path).load(seed)
+
+
+def _thread_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"thread count must be >= 1, got {value}")
+    return value
+
+
+def _training_inputs(args):
+    """Preset configs, training samples, optional validation samples, the
+    training recipe and the plane cache shared by ``train`` and ``ablate``."""
+    configs = _load_preset(args.preset)
+    samples = _load_dataset(args.data, args.seed)
+    val_samples = _load_dataset(args.val, args.seed) if args.val else None
+    cfg = _training_config(args)
+    cache = FBCache(args.cache) if args.cache else None
+    return configs, samples, val_samples, cfg, cache
 
 
 def _training_config(args) -> TrainingConfig:
@@ -170,7 +188,7 @@ def _parse_grid(spec: str):
 def _cmd_calibrate(args) -> int:
     kind, ranges, counts, fixed = _parse_grid(args.grid)
     candidates = dis_grid(kind, ranges, counts, fixed)
-    _, samples = _load_dataset(args.pairs, args.seed)
+    samples = _load_dataset(args.pairs, args.seed)
     pairs = [(s.degraded, s.clean) for s in samples]
     scored = calibrate(candidates, pairs, threads=args.threads)
     selected = iis_select(scored, args.select)
@@ -182,13 +200,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    configs = _load_preset(args.preset)
-    _, samples = _load_dataset(args.data, args.seed)
-    val_samples = None
-    if args.val:
-        _, val_samples = _load_dataset(args.val, args.seed)
-    cfg = _training_config(args)
-    cache = FBCache(args.cache) if args.cache else None
+    configs, samples, val_samples, cfg, cache = _training_inputs(args)
     model, history = train(
         samples, configs, cfg,
         val_samples=val_samples, threads=args.threads, cache=cache,
@@ -238,29 +250,18 @@ def _print_report(report: MetricReport) -> None:
 
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
-    _, samples = _load_dataset(args.data, args.seed)
+    samples = _load_dataset(args.data, args.seed)
     cache = FBCache(args.cache) if args.cache else None
     report = evaluate(model, samples, threads=args.threads, cache=cache)
     _print_report(report)
     if args.csv:
-        import csv as _csv
-
-        with open(args.csv, "w", newline="") as handle:
-            writer = _csv.writer(handle)
-            writer.writerow(["image", "psnr_db", "ssim"])
-            for sample_id, p, s in report.per_image:
-                writer.writerow([sample_id, repr(p), repr(s)])
+        rows = ([sample_id, repr(p), repr(s)] for sample_id, p, s in report.per_image)
+        write_csv(args.csv, ["image", "psnr_db", "ssim"], rows)
     return EXIT_OK
 
 
 def _cmd_ablate(args) -> int:
-    configs = _load_preset(args.preset)
-    _, samples = _load_dataset(args.data, args.seed)
-    val_samples = None
-    if args.val:
-        _, val_samples = _load_dataset(args.val, args.seed)
-    cfg = _training_config(args)
-    cache = FBCache(args.cache) if args.cache else None
+    configs, samples, val_samples, cfg, cache = _training_inputs(args)
     report = ablate_residual(
         samples, configs, cfg,
         val_samples=val_samples, threads=args.threads, cache=cache,
@@ -390,7 +391,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="preset manifest to write")
     p.add_argument("--report", help="CSV of all candidate scores")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("train", help="train a composition model")
@@ -398,14 +399,14 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="training dataset manifest")
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--history", help="per-epoch CSV to write")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     _add_training_flags(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("apply", help="run a trained model on one image (no parameters)")
     p.add_argument("--model", required=True)
     p.add_argument("--ascii", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("input")
     p.add_argument("output")
     p.set_defaults(func=_cmd_apply)
@@ -416,14 +417,14 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", help="per-image CSV to write")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cache", help="basis plane cache directory")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ablate", help="compare the full objective vs content-only")
     p.add_argument("--preset", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="report file to write")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     _add_training_flags(p)
     p.set_defaults(func=_cmd_ablate)
 
@@ -431,7 +432,7 @@ def build_parser() -> _Parser:
     p.add_argument("--preset", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--threads", type=int, default=4)
+    p.add_argument("--threads", type=_thread_count, default=4)
     p.set_defaults(func=_cmd_bench)
 
     return parser

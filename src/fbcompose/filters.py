@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,9 +35,61 @@ def _check_odd(name: str, value: int) -> None:
         raise ValueError(f"{name} must be an odd integer >= 1, got {value}")
 
 
+class FilterConfig:
+    """One filter kind: the base of every tagged parameter set.
+
+    Each subclass declares its kind once: ``KIND`` names it, ``PARAMS`` lists
+    its ``(short name, attribute, is-integer)`` fields in canonical order
+    (which is also constructor order), and ``apply`` calls its kernel.  The
+    canonical form, ``parse_config`` and ``basis.make_config`` all derive
+    from that declaration.  ``apply`` names its kernel as a module global
+    looked up per call, so rebinding e.g. ``filters.bilateral`` reaches it.
+    """
+
+    KIND: ClassVar[str]
+    PARAMS: ClassVar[tuple[tuple[str, str, bool], ...]]
+
+    def canonical(self) -> str:
+        parts = []
+        for short, attr, is_int in self.PARAMS:
+            value = getattr(self, attr)
+            parts.append(f"{short}={value if is_int else _fmt_num(value)}")
+        return f"{self.KIND}:{','.join(parts)}"
+
+    @classmethod
+    def parse(cls, body: str, text: str) -> "FilterConfig":
+        """Build from the ``key=value,...`` body of the canonical form."""
+        fields: dict[str, str] = {}
+        for part in body.split(","):
+            key, eq, value = part.partition("=")
+            if not eq:
+                raise ValueError(f"bad filter config {text!r}: expected key=value, got {part!r}")
+            fields[key.strip()] = value.strip()
+        expected = {short for short, _, _ in cls.PARAMS}
+        if set(fields) != expected:
+            raise ValueError(
+                f"bad filter config {text!r}: expected keys {sorted(expected)}, got {sorted(fields)}"
+            )
+        values = []
+        for short, _, is_int in cls.PARAMS:
+            try:
+                value = float(fields[short])
+            except ValueError:
+                raise ValueError(f"bad value for {short!r} in {text!r}") from None
+            if is_int:
+                if not value.is_integer():
+                    raise ValueError(f"{short!r} must be an integer in {text!r}")
+                value = int(value)
+            values.append(value)
+        return cls(*values)
+
+
 @dataclass(frozen=True)
-class Bilateral:
+class Bilateral(FilterConfig):
     """Edge-preserving weighted average with spatial and range Gaussians."""
+
+    KIND = "bilateral"
+    PARAMS = (("ss", "sigma_spatial", False), ("sr", "sigma_range", False), ("k", "window", True))
 
     sigma_spatial: float
     sigma_range: float
@@ -48,16 +100,19 @@ class Bilateral:
         _check_sigma("sigma_range", self.sigma_range)
         _check_odd("window", self.window)
 
-    def canonical(self) -> str:
-        return (
-            f"bilateral:ss={_fmt_num(self.sigma_spatial)},"
-            f"sr={_fmt_num(self.sigma_range)},k={self.window}"
-        )
+    def apply(self, a: Image) -> Image:
+        return bilateral(a, self.sigma_spatial, self.sigma_range, self.window)
 
 
 @dataclass(frozen=True)
-class Median:
-    """Order-statistic filter over a k1 (rows) x k2 (columns) window."""
+class Median(FilterConfig):
+    """Order-statistic filter over a k1 (rows) x k2 (columns) window.
+
+    Its text form is ``median:K1xK2`` rather than ``key=value`` pairs.
+    """
+
+    KIND = "median"
+    PARAMS = (("k1", "k1", True), ("k2", "k2", True))
 
     k1: int
     k2: int
@@ -67,12 +122,26 @@ class Median:
         _check_odd("k2", self.k2)
 
     def canonical(self) -> str:
-        return f"median:{self.k1}x{self.k2}"
+        return f"{self.KIND}:{self.k1}x{self.k2}"
+
+    @classmethod
+    def parse(cls, body: str, text: str) -> "Median":
+        match = re.fullmatch(r"(\d+)x(\d+)", body.strip())
+        if not match:
+            raise ValueError(f"bad median config {text!r}: expected 'median:K1xK2'")
+        return cls(int(match.group(1)), int(match.group(2)))
+
+    def apply(self, a: Image) -> Image:
+        return median(a, self.k1, self.k2)
 
 
 @dataclass(frozen=True)
-class RollingGuidance:
+class RollingGuidance(FilterConfig):
     """Gaussian-initialized guide refined by iterated joint bilateral passes."""
+
+    KIND = "rgf"
+    PARAMS = (("sr", "sigma_range", False), ("ss", "sigma_spatial", False),
+              ("k", "window", True), ("t", "iterations", True))
 
     sigma_range: float
     sigma_spatial: float
@@ -86,32 +155,28 @@ class RollingGuidance:
         if int(self.iterations) != self.iterations or self.iterations < 0:
             raise ValueError(f"iterations must be an integer >= 0, got {self.iterations}")
 
-    def canonical(self) -> str:
-        return (
-            f"rgf:sr={_fmt_num(self.sigma_range)},ss={_fmt_num(self.sigma_spatial)},"
-            f"k={self.window},t={self.iterations}"
-        )
+    def apply(self, a: Image) -> Image:
+        return rolling_guidance(a, self)
 
 
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(FilterConfig):
     """Plain Gaussian blur."""
+
+    KIND = "gauss"
+    PARAMS = (("ss", "sigma_spatial", False),)
 
     sigma_spatial: float
 
     def __post_init__(self):
         _check_sigma("sigma_spatial", self.sigma_spatial)
 
-    def canonical(self) -> str:
-        return f"gauss:ss={_fmt_num(self.sigma_spatial)}"
+    def apply(self, a: Image) -> Image:
+        return gaussian_blur(a, self.sigma_spatial)
 
 
-FilterConfig = Union[Bilateral, Median, RollingGuidance, Gaussian]
-
-_CONFIG_KEYS = {
-    "bilateral": ("ss", "sr", "k"),
-    "rgf": ("sr", "ss", "k", "t"),
-    "gauss": ("ss",),
+KINDS: dict[str, type[FilterConfig]] = {
+    cls.KIND: cls for cls in (Bilateral, Median, RollingGuidance, Gaussian)
 }
 
 
@@ -121,46 +186,9 @@ def parse_config(text: str) -> FilterConfig:
     if not sep:
         raise ValueError(f"bad filter config {text!r}: missing ':'")
     kind = head.strip().lower()
-    if kind == "median":
-        match = re.fullmatch(r"(\d+)x(\d+)", body.strip())
-        if not match:
-            raise ValueError(f"bad median config {text!r}: expected 'median:K1xK2'")
-        return Median(int(match.group(1)), int(match.group(2)))
-    if kind not in _CONFIG_KEYS:
+    if kind not in KINDS:
         raise ValueError(f"unknown filter kind {kind!r} in {text!r}")
-    fields: dict[str, str] = {}
-    for part in body.split(","):
-        key, eq, value = part.partition("=")
-        if not eq:
-            raise ValueError(f"bad filter config {text!r}: expected key=value, got {part!r}")
-        fields[key.strip()] = value.strip()
-    expected = _CONFIG_KEYS[kind]
-    if set(fields) != set(expected):
-        raise ValueError(
-            f"bad filter config {text!r}: expected keys {sorted(expected)}, got {sorted(fields)}"
-        )
-
-    def number(name: str) -> float:
-        try:
-            return float(fields[name])
-        except ValueError:
-            raise ValueError(f"bad value for {name!r} in {text!r}") from None
-
-    def integer(name: str) -> int:
-        value = number(name)
-        if value != int(value):
-            raise ValueError(f"{name!r} must be an integer in {text!r}")
-        return int(value)
-
-    if kind == "bilateral":
-        return Bilateral(number("ss"), number("sr"), integer("k"))
-    if kind == "rgf":
-        return RollingGuidance(number("sr"), number("ss"), integer("k"), integer("t"))
-    return Gaussian(number("ss"))
-
-
-def format_config(cfg: FilterConfig) -> str:
-    return cfg.canonical()
+    return KINDS[kind].parse(body, text)
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +295,7 @@ def rolling_guidance(a: Image, cfg: RollingGuidance) -> Image:
 
 
 def apply(a: Image, cfg: FilterConfig) -> Image:
-    """Dispatch an image through the kernel matching its config."""
-    if isinstance(cfg, Bilateral):
-        return bilateral(a, cfg.sigma_spatial, cfg.sigma_range, cfg.window)
-    if isinstance(cfg, Median):
-        return median(a, cfg.k1, cfg.k2)
-    if isinstance(cfg, RollingGuidance):
-        return rolling_guidance(a, cfg)
-    if isinstance(cfg, Gaussian):
-        return gaussian_blur(a, cfg.sigma_spatial)
-    raise TypeError(f"unknown filter config: {cfg!r}")
+    """Run an image through the kernel its config declares."""
+    if not isinstance(cfg, FilterConfig):
+        raise TypeError(f"unknown filter config: {cfg!r}")
+    return cfg.apply(a)

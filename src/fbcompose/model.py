@@ -229,30 +229,6 @@ def total_loss(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ModelGradients:
-    """Partial derivatives of the total loss, mirroring the model layout."""
-
-    content_w: np.ndarray
-    content_b: float
-    residual_w: np.ndarray
-    residual_b: float
-    merge_w_content: float
-    merge_w_residual_path: float
-    merge_b: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.content_w,
-                [self.content_b],
-                self.residual_w,
-                [self.residual_b],
-                [self.merge_w_content, self.merge_w_residual_path, self.merge_b],
-            ]
-        )
-
-
 def _tv_adjoint(z: np.ndarray) -> np.ndarray:
     """d(TV)/dz for per-pixel anisotropic TV; subgradient 0 at exact kinks."""
     height, width = z.shape[-2], z.shape[-1]
@@ -275,8 +251,9 @@ def gradients(
     lw: LossWeights = LossWeights(),
     kind: str = "mse",
     tv_weight: float = 0.0,
-) -> tuple[float, ModelGradients]:
-    """Exact derivatives of ``total_loss`` w.r.t. every weight and bias.
+) -> tuple[float, np.ndarray]:
+    """Exact derivatives of ``total_loss`` w.r.t. every weight and bias,
+    as one vector in the ``model_to_vector`` layout.
 
     The merge term chains into both branches; for "l1_tv" the subgradient of
     |.| at exact zeros is 0.
@@ -305,14 +282,14 @@ def gradients(
     adj_c = lw.alpha * d_c + model.merge.w_content * adj_m
     adj_r = lw.lam * d_r - model.merge.w_residual_path * adj_m
 
-    grads = ModelGradients(
-        content_w=np.tensordot(planes, adj_c, axes=([1, 2, 3], [0, 1, 2])),
-        content_b=float(adj_c.sum()),
-        residual_w=np.tensordot(res, adj_r, axes=([1, 2, 3], [0, 1, 2])),
-        residual_b=float(adj_r.sum()),
-        merge_w_content=float((adj_m * out.content).sum()),
-        merge_w_residual_path=float((adj_m * (out.source - out.residual)).sum()),
-        merge_b=float(adj_m.sum()),
+    grads = np.concatenate(
+        [
+            np.tensordot(planes, adj_c, axes=([1, 2, 3], [0, 1, 2])),
+            [adj_c.sum()],
+            np.tensordot(res, adj_r, axes=([1, 2, 3], [0, 1, 2])),
+            [adj_r.sum()],
+            [(adj_m * out.content).sum(), (adj_m * (out.source - out.residual)).sum(), adj_m.sum()],
+        ]
     )
     return total, grads
 

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
-import csv
 import shlex
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .basis import FBCache, FilteredBasis, ResidualBasis, build_basis, build_residuals
+from .basis import (
+    FBCache,
+    FilteredBasis,
+    ResidualBasis,
+    _ordered_map,
+    build_basis,
+    build_residuals,
+    write_csv,
+)
 from .filters import FilterConfig
 from .image import Image
 from .metrics import MetricReport, psnr, ssim
@@ -178,21 +184,23 @@ class DatasetSpec:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            tokens = shlex.split(line)
-            where = f"{manifest}:{lineno}"
-            if tokens[0] == "split" and len(tokens) == 2:
-                val_fraction = float(tokens[1])
-                if not 0.0 <= val_fraction < 1.0:
-                    raise ValueError(f"{where}: split must lie in [0, 1)")
-            elif tokens[0] == "pair" and len(tokens) == 3:
-                entries.append(PairEntry(tokens[1], tokens[2]))
-            elif tokens[0] == "clean" and len(tokens) == 4:
-                kind = tokens[2]
-                if kind not in ("gaussian", "impulse"):
-                    raise ValueError(f"{where}: unknown degradation {kind!r}")
-                entries.append(RecipeEntry(tokens[1], kind, float(tokens[3])))
-            else:
-                raise ValueError(f"{where}: unrecognized manifest line {line!r}")
+            try:  # every error on a line, number parsing included, names file:line
+                tokens = shlex.split(line)
+                if tokens[0] == "split" and len(tokens) == 2:
+                    val_fraction = float(tokens[1])
+                    if not 0.0 <= val_fraction < 1.0:
+                        raise ValueError("split must lie in [0, 1)")
+                elif tokens[0] == "pair" and len(tokens) == 3:
+                    entries.append(PairEntry(tokens[1], tokens[2]))
+                elif tokens[0] == "clean" and len(tokens) == 4:
+                    kind = tokens[2]
+                    if kind not in ("gaussian", "impulse"):
+                        raise ValueError(f"unknown degradation {kind!r}")
+                    entries.append(RecipeEntry(tokens[1], kind, float(tokens[3])))
+                else:
+                    raise ValueError(f"unrecognized manifest line {line!r}")
+            except ValueError as exc:
+                raise ValueError(f"{manifest}:{lineno}: {exc}") from exc
         if not entries:
             raise ValueError(f"dataset manifest {manifest} lists no samples")
         return DatasetSpec(tuple(entries), val_fraction, str(manifest.parent))
@@ -251,11 +259,8 @@ class TrainHistory:
 
 
 def history_to_csv(history: TrainHistory, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["epoch", "lr", "train_loss", "val_psnr"])
-        for rec in history.records:
-            writer.writerow([rec.epoch, repr(rec.lr), repr(rec.train_loss), repr(rec.val_psnr)])
+    rows = ([r.epoch, repr(r.lr), repr(r.train_loss), repr(r.val_psnr)] for r in history.records)
+    write_csv(path, ["epoch", "lr", "train_loss", "val_psnr"], rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,11 +283,7 @@ def _prepare(
         artifact = sample.degraded.data - sample.clean.data
         return _Prepared(sample, basis, residuals, artifact)
 
-    items = list(samples)
-    if threads <= 1 or len(items) <= 1:
-        return [one(s) for s in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, items))
+    return _ordered_map(one, list(samples), threads)
 
 
 def _mean_merged_psnr(model: CompositionModel, prepared: Sequence[_Prepared]) -> float:
@@ -356,7 +357,7 @@ def train(
                     cfg.loss_kind,
                     cfg.tv_weight,
                 )
-                grad_vec += grads.as_vector()
+                grad_vec += grads
                 loss_sum += loss
             grad_vec /= len(chunk)
             params, state = adam_step(

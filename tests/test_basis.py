@@ -26,6 +26,7 @@ from fbcompose import (
     write_preset,
 )
 from fbcompose.basis import CalibrationError, ParamRange, write_calibration_report
+from fbcompose.filters import KINDS
 
 from synth import synthetic_clean
 
@@ -105,6 +106,20 @@ def test_make_config_errors():
         make_config("nope", {"ss": 1.0})
     with pytest.raises(ValueError):
         make_config("median", {"k1": 3.5, "k2": 3})  # non-integer window
+    for kind, cls in KINDS.items():
+        params = {short: 3.0 if is_int else 0.75 for short, _, is_int in cls.PARAMS}
+        assert make_config(kind.upper(), params) == cls(*params.values())
+        for short, _, is_int in cls.PARAMS:
+            missing = {k: v for k, v in params.items() if k != short}
+            with pytest.raises(ValueError, match=repr(short)):
+                make_config(kind, missing)
+            if is_int:
+                with pytest.raises(ValueError, match="must be an integer"):
+                    make_config(kind, {**params, short: 3.5})
+                # Grid values within 1e-9 of an integer snap to it.
+                assert make_config(kind, {**params, short: 3.0 + 1e-10}) == cls(
+                    *params.values()
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,37 @@ def test_bench_subcommand(workspace, capsys):
     assert "linearity ratio" in out
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["calibrate", "--grid", "median:k1=1|3,k2=1", "--pairs", "{data}", "--select", "1",
+         "--out", "{out}"],
+        ["train", "--preset", "{preset}", "--data", "{data}", "--epochs", "1", "--out", "{out}"],
+        ["apply", "--model", "{model}", "{clean}", "{out}"],
+        ["eval", "--model", "{model}", "--data", "{data}", "--csv", "{out}"],
+        ["ablate", "--preset", "{preset}", "--data", "{data}", "--epochs", "1", "--out", "{out}"],
+        ["bench", "--preset", "{preset}", "--image", "{clean}", "--reps", "3"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_nonpositive_threads_is_usage_error(workspace, capsys, args, threads):
+    model = workspace / "model.cfmodel"
+    save_model(init_model([Median(3, 3), Median(1, 1)]), model)
+    out = workspace / "out.txt"
+    paths = {
+        "data": workspace / "data.txt",
+        "preset": workspace / "preset.txt",
+        "model": model,
+        "clean": workspace / "clean.pgm",
+        "out": out,
+    }
+    argv = [arg.format(**paths) for arg in args] + ["--threads", threads]
+    assert run(argv) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_exits_zero():
     assert run(["--help"]) == 0
     assert run(["train", "--help"]) == 0

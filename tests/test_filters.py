@@ -15,7 +15,7 @@ from fbcompose import (
     parse_config,
     rolling_guidance,
 )
-from fbcompose.filters import gaussian_kernel1d
+from fbcompose.filters import KINDS, gaussian_kernel1d
 
 from oracles import (
     oracle_bilateral,
@@ -38,6 +38,15 @@ def _random_image(rng, channels=1, lo=5, hi=9):
 # ---------------------------------------------------------------------------
 
 
+def _declared_examples():
+    """One config of every declared kind, built from its PARAMS alone."""
+    examples = []
+    for cls in KINDS.values():
+        cfg = cls(*[3 if is_int else 0.75 for _, _, is_int in cls.PARAMS])
+        examples.append((cfg.canonical(), cfg))
+    return examples
+
+
 @pytest.mark.parametrize(
     "text,expected",
     [
@@ -45,13 +54,15 @@ def _random_image(rng, channels=1, lo=5, hi=9):
         ("median:3x5", Median(3, 5)),
         ("rgf:sr=0.2,ss=3,k=9,t=2", RollingGuidance(0.2, 3.0, 9, 2)),
         ("gauss:ss=2", Gaussian(2.0)),
-    ],
+    ]
+    + _declared_examples(),
 )
 def test_canonical_round_trip(text, expected):
     cfg = parse_config(text)
     assert cfg == expected
     assert cfg.canonical() == text
     assert parse_config(cfg.canonical()) == cfg
+    assert KINDS[text.partition(":")[0]] is type(cfg)
 
 
 def test_canonical_preserves_full_float_precision():
@@ -70,6 +81,8 @@ def test_canonical_preserves_full_float_precision():
         "rgf:sr=0.2,ss=3,k=9",
         "warp:ss=1",
         "gauss:ss=abc",
+        "bilateral:ss=0.5,sr=1.5,k=15.5",  # integer field
+        "rgf:sr=0.2,ss=3,k=9,t=inf",
     ],
 )
 def test_parse_rejects_malformed(text):

@@ -335,7 +335,7 @@ def test_gradients_zero_at_perfect_fit():
     gt_artifact = residuals.planes[0]
     loss, grads = gradients(model, basis, residuals, gt_clean, gt_artifact)
     assert loss == 0.0
-    assert np.all(grads.as_vector() == 0.0)
+    assert np.all(grads == 0.0)
 
 
 def test_gradient_single_pixel_hand_value():
@@ -352,8 +352,9 @@ def test_gradient_single_pixel_hand_value():
     gt = Image.constant(1, 1, 0.25)
     lw = LossWeights(alpha=1.0, lam=0.0, gamma=0.0)
     _, grads = gradients(model, basis, residuals, gt, lw=lw)
-    assert grads.content_w[0] == pytest.approx(2 * (0.5 - 0.25) * 0.5, abs=1e-12)  # 0.25
-    assert grads.content_b == pytest.approx(2 * (0.5 - 0.25), abs=1e-12)
+    # model_to_vector layout with n=1: [content_w, content_b, ...].
+    assert grads[0] == pytest.approx(2 * (0.5 - 0.25) * 0.5, abs=1e-12)  # 0.25
+    assert grads[1] == pytest.approx(2 * (0.5 - 0.25), abs=1e-12)
 
 
 def test_gradients_match_finite_differences_mse():
@@ -364,7 +365,7 @@ def test_gradients_match_finite_differences_mse():
         lw = LossWeights()
         loss, grads = gradients(model, basis, residuals, gt_clean, lw=lw)
         fd = fd_gradients(model, basis, residuals, gt_clean, None, lw, "mse", 0.0)
-        assert _relative_error(grads.as_vector(), fd) < 1e-5
+        assert _relative_error(grads, fd) < 1e-5
         assert loss > 0
 
 
@@ -378,7 +379,7 @@ def test_gradients_match_finite_differences_l1_tv():
     )
     fd = fd_gradients(model, basis, residuals, gt_clean, None, lw, "l1_tv", 0.1)
     # Looser bound: |.| kinks limit finite-difference accuracy.
-    assert _relative_error(grads.as_vector(), fd) < 1e-3
+    assert _relative_error(grads, fd) < 1e-3
 
 
 def test_gradients_decouple_with_gamma_zero():
@@ -387,14 +388,17 @@ def test_gradients_decouple_with_gamma_zero():
     model = _random_model(rng, basis.configs)
     lw = LossWeights(alpha=0.7, lam=0.4, gamma=0.0)
     _, grads = gradients(model, basis, residuals, gt_clean, lw=lw)
-    assert grads.merge_w_content == 0.0
-    assert grads.merge_w_residual_path == 0.0
-    assert grads.merge_b == 0.0
+    n = basis.magnitude
+    # model_to_vector layout: the three merge partials sit at 2n+2 .. 2n+4.
+    assert grads[2 * n + 2] == 0.0
+    assert grads[2 * n + 3] == 0.0
+    assert grads[2 * n + 4] == 0.0
     # Residual-branch gradients scale linearly with lam when gamma is 0.
     _, grads_double = gradients(
         model, basis, residuals, gt_clean, lw=LossWeights(alpha=0.7, lam=0.8, gamma=0.0)
     )
-    assert np.allclose(grads_double.residual_w, 2.0 * grads.residual_w, rtol=1e-12)
+    residual_w = slice(n + 1, 2 * n + 1)
+    assert np.allclose(grads_double[residual_w], 2.0 * grads[residual_w], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,16 @@ def test_dataset_manifest_rejects_bad_lines(tmp_path):
         DatasetSpec.read(manifest)
     manifest.write_text("# empty\n")
     with pytest.raises(ValueError):
+        DatasetSpec.read(manifest)
+
+
+@pytest.mark.parametrize(
+    "line", ["split x", "clean clean.pgm gaussian x", "clean clean.pgm impulse 0.1.2"]
+)
+def test_dataset_manifest_number_errors_name_file_and_line(tmp_path, line):
+    manifest = tmp_path / "bad.txt"
+    manifest.write_text(f"pair a.pgm b.pgm\n{line}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest))}:2: "):
         DatasetSpec.read(manifest)
 
 
