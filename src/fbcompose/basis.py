@@ -14,6 +14,7 @@ import csv
 import hashlib
 import itertools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -231,7 +232,8 @@ class ResidualBasis:
 
     Kept as raw float64 arrays (not Images) so no clamping is applied;
     plane + residual reproduces the source exactly because every stored
-    intensity sits on the dyadic grid.
+    intensity sits on the dyadic grid.  The model derives its residual
+    branch from the basis and never builds this stack.
     """
 
     planes: tuple[np.ndarray, ...]
@@ -426,6 +428,12 @@ class FBCache:
     def put(self, img: Image, cfg: FilterConfig, plane: Image) -> None:
         path = self.path_for(img, cfg)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp.npy")
-        np.save(tmp, plane.data)
-        os.replace(tmp, path)
+        # A temp file per writer: concurrent puts of one key (threads or
+        # processes sharing the directory) must not write into one file.
+        tmp = path.with_name(f"{path.stem}.{os.getpid()}-{threading.get_ident()}.tmp.npy")
+        try:
+            np.save(tmp, plane.data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise

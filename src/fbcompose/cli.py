@@ -23,7 +23,6 @@ from .basis import (
     FBCache,
     ParamRange,
     build_basis,
-    build_residuals,
     calibrate,
     dis_grid,
     iis_select,
@@ -237,7 +236,7 @@ def _cmd_apply(args) -> int:
     model = load_model(args.model)
     img = read_image(args.input)
     basis = build_basis(img, model.basis_configs, threads=args.threads)
-    out = forward(model, basis, build_residuals(basis))
+    out = forward(model, basis)
     write_image(out.merged_image(), args.output, ascii_format=args.ascii)
     return EXIT_OK
 
@@ -335,9 +334,8 @@ def bench(
     fb_serial = timed(lambda: build_basis(image, configs, threads=1))
     fb_parallel = timed(lambda: build_basis(image, configs, threads=threads))
     basis = build_basis(image, configs, threads=threads)
-    residuals = build_residuals(basis)
     model = init_model(configs)
-    forward_s = timed(lambda: forward(model, basis, residuals))
+    forward_s = timed(lambda: forward(model, basis))
     return BenchReport(image.shape, repetitions, singles, fb_serial, fb_parallel, forward_s)
 
 

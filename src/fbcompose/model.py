@@ -1,9 +1,10 @@
 """Dual-branch channel-blending model: forward pass, loss, analytic gradients.
 
 The model is linear: a content branch blends the basis planes, a residual
-branch blends the residual planes, and a merge layer combines the content
-estimate with source - residual estimate.  All weights are shared across
-color channels, so a magnitude-n basis trains 2n + 5 scalars.
+branch blends the residual planes source - plane, and a merge layer combines
+the content estimate with source - residual estimate.  The residual branch
+is computed from the basis; no residual stack is built.  All weights are
+shared across color channels, so a magnitude-n basis trains 2n + 5 scalars.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import FilteredBasis, ResidualBasis
+from .basis import FilteredBasis
 from .filters import FilterConfig, parse_config
 from .image import Image
 from .metrics import tv_of_array
@@ -153,25 +154,25 @@ class ForwardOutputs:
         return Image(self.merged)
 
 
-def forward(
-    model: CompositionModel, basis: FilteredBasis, residuals: ResidualBasis
-) -> ForwardOutputs:
+def forward(model: CompositionModel, basis: FilteredBasis, residuals=None) -> ForwardOutputs:
     """Per pixel and channel: content = sum_i wc[i]*plane[i] + bc, residual =
-    sum_i wr[i]*res[i] + br, merged = w1*content + w2*(source - residual) + bm.
+    sum_i wr[i]*(source - plane[i]) + br, merged = w1*content + w2*(source -
+    residual) + bm.
+
+    One contraction of [wc; wr] with the planes gives both blends, and the
+    residual branch is sum(wr)*source - sum_i wr[i]*plane[i] + br.
+    ``residuals`` is never read: it is kept only for three-argument callers
+    until the benchmark's next update.
     """
     if basis.magnitude != model.magnitude:
         raise ValueError(
             f"basis magnitude {basis.magnitude} does not match model magnitude {model.magnitude}"
         )
-    if residuals.magnitude != model.magnitude:
-        raise ValueError(
-            f"residual magnitude {residuals.magnitude} does not match model magnitude {model.magnitude}"
-        )
-    planes = basis.tensor()
-    res = residuals.tensor()
     source = basis.source.data
-    content = np.tensordot(model.content.weights, planes, axes=1) + model.content.bias
-    residual = np.tensordot(model.residual.weights, res, axes=1) + model.residual.bias
+    weights = np.stack([model.content.weights, model.residual.weights])
+    blends = np.tensordot(weights, basis.tensor(), axes=1)
+    content = blends[0] + model.content.bias
+    residual = model.residual.weights.sum() * source - blends[1] + model.residual.bias
     merged = (
         model.merge.w_content * content
         + model.merge.w_residual_path * (source - residual)
@@ -190,7 +191,6 @@ def _component(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
 def total_loss(
     outputs: ForwardOutputs,
     gt_clean: Image,
-    gt_artifact: np.ndarray | None = None,
     lw: LossWeights = LossWeights(),
     kind: str = "mse",
     tv_weight: float = 0.0,
@@ -198,8 +198,8 @@ def total_loss(
     """Weighted objective alpha*L_c + lam*L_r + gamma*L_m.
 
     ``kind`` "mse" uses mean squared error per component; "l1_tv" uses mean
-    absolute error and adds tv_weight * TV(merged) once to the total.  When
-    ``gt_artifact`` is omitted it defaults to source - clean target.
+    absolute error and adds tv_weight * TV(merged) once to the total.  The
+    residual branch's target is the signed artifact source - clean.
     Returns (total, (l_c, l_r, l_m)).
     """
     if kind not in LOSS_KINDS:
@@ -209,14 +209,8 @@ def total_loss(
         raise ValueError(
             f"target shape {target.shape} does not match outputs {outputs.content.shape}"
         )
-    if gt_artifact is None:
-        gt_artifact = outputs.source - target
-    if gt_artifact.shape != outputs.residual.shape:
-        raise ValueError(
-            f"artifact shape {gt_artifact.shape} does not match outputs {outputs.residual.shape}"
-        )
     l_c = _component(outputs.content, target, kind)
-    l_r = _component(outputs.residual, gt_artifact, kind)
+    l_r = _component(outputs.residual, outputs.source - target, kind)
     l_m = _component(outputs.merged, target, kind)
     total = lw.alpha * l_c + lw.lam * l_r + lw.gamma * l_m
     if kind == "l1_tv":
@@ -245,9 +239,7 @@ def _tv_adjoint(z: np.ndarray) -> np.ndarray:
 def gradients(
     model: CompositionModel,
     basis: FilteredBasis,
-    residuals: ResidualBasis,
     gt_clean: Image,
-    gt_artifact: np.ndarray | None = None,
     lw: LossWeights = LossWeights(),
     kind: str = "mse",
     tv_weight: float = 0.0,
@@ -258,22 +250,19 @@ def gradients(
     The merge term chains into both branches; for "l1_tv" the subgradient of
     |.| at exact zeros is 0.
     """
-    out = forward(model, basis, residuals)
-    planes = basis.tensor()
-    res = residuals.tensor()
+    out = forward(model, basis)
     target = gt_clean.data
-    if gt_artifact is None:
-        gt_artifact = out.source - target
-    total, _ = total_loss(out, gt_clean, gt_artifact, lw, kind, tv_weight)
+    artifact = out.source - target
+    total, _ = total_loss(out, gt_clean, lw, kind, tv_weight)
 
     count = target.size
     if kind == "mse":
         d_c = (2.0 / count) * (out.content - target)
-        d_r = (2.0 / count) * (out.residual - gt_artifact)
+        d_r = (2.0 / count) * (out.residual - artifact)
         d_m = (2.0 / count) * (out.merged - target)
     else:
         d_c = np.sign(out.content - target) / count
-        d_r = np.sign(out.residual - gt_artifact) / count
+        d_r = np.sign(out.residual - artifact) / count
         d_m = np.sign(out.merged - target) / count
 
     adj_m = lw.gamma * d_m
@@ -282,11 +271,16 @@ def gradients(
     adj_c = lw.alpha * d_c + model.merge.w_content * adj_m
     adj_r = lw.lam * d_r - model.merge.w_residual_path * adj_m
 
+    # d(residual)/d(wr[i]) = source - plane[i], so one contraction of the
+    # planes against [adj_c; adj_r] serves both branches.
+    plane_dots = np.tensordot(
+        basis.tensor(), np.stack([adj_c, adj_r]), axes=([1, 2, 3], [1, 2, 3])
+    )
     grads = np.concatenate(
         [
-            np.tensordot(planes, adj_c, axes=([1, 2, 3], [0, 1, 2])),
+            plane_dots[:, 0],
             [adj_c.sum()],
-            np.tensordot(res, adj_r, axes=([1, 2, 3], [0, 1, 2])),
+            (out.source * adj_r).sum() - plane_dots[:, 1],
             [adj_r.sum()],
             [(adj_m * out.content).sum(), (adj_m * (out.source - out.residual)).sum(), adj_m.sum()],
         ]

@@ -3,21 +3,14 @@
 from __future__ import annotations
 
 import shlex
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .basis import (
-    FBCache,
-    FilteredBasis,
-    ResidualBasis,
-    _ordered_map,
-    build_basis,
-    build_residuals,
-    write_csv,
-)
+from .basis import FBCache, FilteredBasis, _ordered_map, build_basis, write_csv
 from .filters import FilterConfig
 from .image import Image
 from .metrics import MetricReport, psnr, ssim
@@ -228,11 +221,17 @@ class DatasetSpec:
 
 
 def split_validation(samples: Sequence[Sample], val_fraction: float) -> tuple[list, list]:
-    """Hold out the trailing fraction; an empty holdout validates on the
-    training set itself (tiny datasets)."""
+    """Hold out the trailing fraction.  When that rounds to no sample (tiny
+    datasets), warn and validate on the training set itself."""
     samples = list(samples)
     n_val = min(int(len(samples) * val_fraction), len(samples) - 1)
     if n_val <= 0:
+        warnings.warn(
+            f"validation fraction {val_fraction!r} holds out none of {len(samples)} "
+            "samples; validating on the training set",
+            UserWarning,
+            stacklevel=2,
+        )
         return samples, list(samples)
     return samples[: len(samples) - n_val], samples[len(samples) - n_val :]
 
@@ -263,34 +262,27 @@ def history_to_csv(history: TrainHistory, path) -> None:
     write_csv(path, ["epoch", "lr", "train_loss", "val_psnr"], rows)
 
 
-@dataclass(frozen=True, eq=False)
-class _Prepared:
-    sample: Sample
-    basis: FilteredBasis
-    residuals: ResidualBasis
-    artifact: np.ndarray  # degraded - clean, signed
-
-
 def _prepare(
     samples: Sequence[Sample],
     configs: Sequence[FilterConfig],
     threads: int,
     cache: FBCache | None,
-) -> list[_Prepared]:
-    def one(sample: Sample) -> _Prepared:
-        basis = build_basis(sample.degraded, configs, threads=1, cache=cache)
-        residuals = build_residuals(basis)
-        artifact = sample.degraded.data - sample.clean.data
-        return _Prepared(sample, basis, residuals, artifact)
+) -> list[FilteredBasis]:
+    """One basis over each sample's degraded image, in sample order."""
+
+    def one(sample: Sample) -> FilteredBasis:
+        return build_basis(sample.degraded, configs, threads=1, cache=cache)
 
     return _ordered_map(one, list(samples), threads)
 
 
-def _mean_merged_psnr(model: CompositionModel, prepared: Sequence[_Prepared]) -> float:
-    values = []
-    for prep in prepared:
-        out = forward(model, prep.basis, prep.residuals)
-        values.append(psnr(out.merged_image(), prep.sample.clean))
+def _mean_merged_psnr(
+    model: CompositionModel, samples: Sequence[Sample], bases: Sequence[FilteredBasis]
+) -> float:
+    values = [
+        psnr(forward(model, basis).merged_image(), sample.clean)
+        for sample, basis in zip(samples, bases)
+    ]
     return float(np.mean(values))
 
 
@@ -322,8 +314,8 @@ def train(
         if not val_part:
             raise ValueError("explicit validation set is empty")
 
-    prep_train = _prepare(train_part, basis_configs, threads, cache)
-    prep_val = _prepare(val_part, basis_configs, threads, cache)
+    bases_train = _prepare(train_part, basis_configs, threads, cache)
+    bases_val = _prepare(val_part, basis_configs, threads, cache)
 
     model = init_model(basis_configs)
     params = model_to_vector(model)
@@ -337,22 +329,19 @@ def train(
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
         if cfg.shuffle:
-            order = rng.permutation(len(prep_train))
+            order = rng.permutation(len(train_part))
         else:
-            order = np.arange(len(prep_train))
+            order = np.arange(len(train_part))
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             chunk = order[start : start + cfg.batch_size]
             grad_vec = np.zeros_like(params)
             loss_sum = 0.0
             for idx in chunk:
-                prep = prep_train[idx]
                 loss, grads = gradients(
                     model,
-                    prep.basis,
-                    prep.residuals,
-                    prep.sample.clean,
-                    prep.artifact,
+                    bases_train[idx],
+                    train_part[idx].clean,
                     cfg.loss,
                     cfg.loss_kind,
                     cfg.tv_weight,
@@ -363,9 +352,16 @@ def train(
             params, state = adam_step(
                 params, grad_vec, state, lr, cfg.beta1, cfg.beta2, cfg.epsilon
             )
-            model = vector_to_model(params, basis_configs)
+            try:
+                model = vector_to_model(params, basis_configs)
+            except ValueError as exc:  # non-finite weights: the run diverged
+                ids = ", ".join(train_part[idx].sample_id for idx in chunk)
+                raise ValueError(
+                    f"training diverged at epoch {epoch} (lr {lr!r}) "
+                    f"after the step on samples {ids}: {exc}"
+                ) from exc
             losses.append(loss_sum / len(chunk))
-        val_psnr = _mean_merged_psnr(model, prep_val)
+        val_psnr = _mean_merged_psnr(model, val_part, bases_val)
         records.append(EpochRecord(epoch, lr, float(np.mean(losses)), val_psnr))
         if val_psnr > best_psnr:
             best_psnr = val_psnr
@@ -396,14 +392,13 @@ def evaluate(
     """
     if output not in ("merged", "content"):
         raise ValueError(f"output must be 'merged' or 'content', got {output!r}")
-    prepared = _prepare(list(samples), model.basis_configs, threads, cache)
+    samples = list(samples)
+    bases = _prepare(samples, model.basis_configs, threads, cache)
     rows = []
-    for prep in prepared:
-        out = forward(model, prep.basis, prep.residuals)
+    for sample, basis in zip(samples, bases):
+        out = forward(model, basis)
         img = out.merged_image() if output == "merged" else out.content_image()
-        rows.append(
-            (prep.sample.sample_id, psnr(img, prep.sample.clean), ssim(img, prep.sample.clean))
-        )
+        rows.append((sample.sample_id, psnr(img, sample.clean), ssim(img, sample.clean)))
     return MetricReport.from_rows(rows)
 
 

@@ -22,7 +22,6 @@ from fbcompose import (
     bilateral_candidate_grid,
     bilateral_preset,
     build_basis,
-    build_residuals,
     evaluate,
     forward,
     gradients,
@@ -143,7 +142,6 @@ def test_criterion_2_gradients_match_finite_differences():
             planes = tuple(Image(rng.random((channels, h, w))) for _ in range(n))
             configs = tuple(Gaussian(0.5 + 0.05 * i) for i in range(n))
             basis = FilteredBasis(source, configs, planes)
-            residuals = build_residuals(basis)
             gt_clean = Image(rng.random((channels, h, w)))
             model = CompositionModel(
                 configs,
@@ -156,8 +154,8 @@ def test_criterion_2_gradients_match_finite_differences():
                 ),
             )
             lw = LossWeights()
-            _, grads = gradients(model, basis, residuals, gt_clean, lw=lw)
-            fd = fd_gradients(model, basis, residuals, gt_clean, None, lw, "mse", 0.0)
+            _, grads = gradients(model, basis, gt_clean, lw=lw)
+            fd = fd_gradients(model, basis, gt_clean, lw, "mse", 0.0)
             worst = max(worst, float(_relative_error(grads, fd)))
             instances += 1
     ok = worst < 1e-5 and instances >= 50
@@ -274,9 +272,7 @@ def test_criterion_6_schedule_and_loss_constants():
         merged=np.array([[[2.0, 2.0], [2.0, 0.0]]]),
         source=np.zeros((1, 2, 2)),
     )
-    total, components = total_loss(
-        outputs, Image(np.zeros((1, 2, 2))), np.zeros((1, 2, 2))
-    )
+    total, components = total_loss(outputs, Image(np.zeros((1, 2, 2))))
     loss_ok = components == (1.0, 2.0, 3.0) and total == 0.1 * 1.0 + 0.1 * 2.0 + 1.0 * 3.0
     loss_ok = loss_ok and abs(total - 3.3) < 1e-12
     ok = schedule_ok and loss_ok

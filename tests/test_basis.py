@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -436,6 +438,23 @@ def test_fb_cache_hit_skips_recomputation(tmp_path, monkeypatch):
     monkeypatch.setattr(basis_mod.filters, "apply", counting_apply)
     build_basis(img, configs, cache=cache)
     assert calls["n"] == 0
+
+
+def test_fb_cache_concurrent_puts_of_one_key(tmp_path):
+    img = synthetic_clean(76, width=10, height=10)
+    cfg = Median(3, 3)
+    plane = build_basis(img, [cfg]).planes[0]
+    cache = FBCache(tmp_path / "cache")
+
+    def put_repeatedly(_):
+        for _ in range(50):
+            cache.put(img, cfg, plane)
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        list(pool.map(put_repeatedly, range(8)))  # re-raises any worker error
+    assert cache.get(img, cfg) == plane
+    path = cache.path_for(img, cfg)
+    assert list(path.parent.iterdir()) == [path]
 
 
 def test_fb_cache_recomputes_when_file_removed(tmp_path):

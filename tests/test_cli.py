@@ -174,6 +174,23 @@ def test_train_builtin_preset_and_threads_identical_outputs(workspace):
     assert outputs[0] == outputs[1]
 
 
+def test_train_divergence_names_epoch_lr_and_samples(workspace, capsys):
+    data = str(workspace / "data.txt")
+    out = workspace / "model.cfmodel"
+    rc = run(
+        [
+            "train", "--preset", str(workspace / "preset.txt"), "--data", data,
+            "--val", data, "--out", str(out), "--epochs", "3", "--lr0", "1e300",
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "diverged at epoch 0 (lr 1e+300)" in err
+    assert "samples clean.pgm" in err
+    assert "branch weights must be finite" in err
+    assert not out.exists()
+
+
 def test_apply_corrupted_model_counts_is_exit_2(workspace, capsys):
     model_path = workspace / "model.cfmodel"
     save_model(init_model([Median(3, 3), Median(1, 1)]), model_path)

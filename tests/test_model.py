@@ -37,14 +37,13 @@ def _dummy_configs(n):
 
 
 def _synthetic_problem(rng, n, height, width, channels=1):
-    """Random basis/residual stacks plus targets; planes need not come from
-    real filters for gradient math."""
+    """Random basis plus target; planes need not come from real filters for
+    gradient math."""
     source = Image(rng.random((channels, height, width)))
     planes = tuple(Image(rng.random((channels, height, width))) for _ in range(n))
     basis = FilteredBasis(source, _dummy_configs(n), planes)
-    residuals = build_residuals(basis)
     gt_clean = Image(rng.random((channels, height, width)))
-    return basis, residuals, gt_clean
+    return basis, gt_clean
 
 
 def _random_model(rng, configs):
@@ -57,7 +56,7 @@ def _random_model(rng, configs):
     )
 
 
-def fd_gradients(model, basis, residuals, gt_clean, gt_artifact, lw, kind, tv_weight, h=1e-4):
+def fd_gradients(model, basis, gt_clean, lw, kind, tv_weight, h=1e-4):
     """Central-difference oracle over the flat parameter vector."""
     vec = model_to_vector(model)
     out = np.zeros_like(vec)
@@ -67,12 +66,12 @@ def fd_gradients(model, basis, residuals, gt_clean, gt_artifact, lw, kind, tv_we
         down = vec.copy()
         down[i] -= h
         loss_up, _ = total_loss(
-            forward(vector_to_model(up, model.basis_configs), basis, residuals),
-            gt_clean, gt_artifact, lw, kind, tv_weight,
+            forward(vector_to_model(up, model.basis_configs), basis),
+            gt_clean, lw, kind, tv_weight,
         )
         loss_down, _ = total_loss(
-            forward(vector_to_model(down, model.basis_configs), basis, residuals),
-            gt_clean, gt_artifact, lw, kind, tv_weight,
+            forward(vector_to_model(down, model.basis_configs), basis),
+            gt_clean, lw, kind, tv_weight,
         )
         out[i] = (loss_up - loss_down) / (2.0 * h)
     return out
@@ -98,9 +97,9 @@ def test_init_uniform_weights():
 
 def test_initial_content_is_plain_mean_of_planes():
     rng = np.random.default_rng(80)
-    basis, residuals, _ = _synthetic_problem(rng, 3, 6, 6)
+    basis, _ = _synthetic_problem(rng, 3, 6, 6)
     model = init_model(basis.configs)
-    out = forward(model, basis, residuals)
+    out = forward(model, basis)
     assert np.allclose(out.content, basis.tensor().mean(axis=0), atol=1e-12)
 
 
@@ -132,7 +131,7 @@ def test_model_validates_weight_lengths():
 
 def test_forward_one_hot_selects_plane_bitwise():
     rng = np.random.default_rng(81)
-    basis, residuals, _ = _synthetic_problem(rng, 4, 5, 7)
+    basis, _ = _synthetic_problem(rng, 4, 5, 7)
     for hot in range(4):
         weights = np.zeros(4)
         weights[hot] = 1.0
@@ -142,21 +141,21 @@ def test_forward_one_hot_selects_plane_bitwise():
             BranchWeights(np.zeros(4), 0.0),
             MergeWeights(1.0, 0.0, 0.0),
         )
-        out = forward(model, basis, residuals)
+        out = forward(model, basis)
         assert np.array_equal(out.content, basis.planes[hot].data)
         assert np.array_equal(out.merged, basis.planes[hot].data)
 
 
 def test_forward_all_zero_weights_gives_zero_merged():
     rng = np.random.default_rng(82)
-    basis, residuals, _ = _synthetic_problem(rng, 2, 4, 4)
+    basis, _ = _synthetic_problem(rng, 2, 4, 4)
     model = CompositionModel(
         basis.configs,
         BranchWeights(np.zeros(2), 0.0),
         BranchWeights(np.zeros(2), 0.0),
         MergeWeights(0.0, 0.0, 0.0),
     )
-    out = forward(model, basis, residuals)
+    out = forward(model, basis)
     assert np.all(out.merged == 0.0)
 
 
@@ -164,23 +163,22 @@ def test_forward_constant_planes_scalar_arithmetic():
     source = Image.constant(4, 4, 0.5)
     planes = (Image.constant(4, 4, 0.2), Image.constant(4, 4, 0.6))
     basis = FilteredBasis(source, _dummy_configs(2), planes)
-    residuals = build_residuals(basis)
     model = CompositionModel(
         basis.configs,
         BranchWeights(np.array([0.5, 0.5]), 0.1),
         BranchWeights(np.zeros(2), 0.0),
         MergeWeights(1.0, 0.0, 0.0),
     )
-    out = forward(model, basis, residuals)
+    out = forward(model, basis)
     assert np.allclose(out.content, 0.5, atol=1e-12)
 
 
 def test_forward_magnitude_mismatch():
     rng = np.random.default_rng(83)
-    basis, residuals, _ = _synthetic_problem(rng, 2, 4, 4)
+    basis, _ = _synthetic_problem(rng, 2, 4, 4)
     model = init_model(_dummy_configs(3))
     with pytest.raises(ValueError):
-        forward(model, basis, residuals)
+        forward(model, basis)
 
 
 def test_forward_is_linear_in_planes_with_zero_biases():
@@ -202,7 +200,7 @@ def test_forward_is_linear_in_planes_with_zero_biases():
 
     def content_of(planes):
         basis = FilteredBasis(source, configs, planes)
-        return forward(model, basis, build_residuals(basis)).content
+        return forward(model, basis).content
 
     lhs = content_of(mixed)
     rhs = alpha * content_of(planes_a) + beta * content_of(planes_b)
@@ -214,28 +212,59 @@ def test_reconstruction_consistency_through_merge():
     img = synthetic_clean(85, width=12, height=12)
     noisy = Image(np.clip(img.data + 0.05, 0, 1))
     basis = FilteredBasis(noisy, _dummy_configs(1), (img,))  # plane == target
-    residuals = build_residuals(basis)  # residual == noisy - target
+    # With wr = 1 and br = 0 the residual branch is noisy - target.
     model = CompositionModel(
         basis.configs,
         BranchWeights(np.zeros(1), 0.0),
         BranchWeights(np.ones(1), 0.0),
         MergeWeights(0.0, 1.0, 0.0),
     )
-    out = forward(model, basis, residuals)
+    out = forward(model, basis)
     assert np.array_equal(out.merged, img.data)
+
+
+def _residual_stack_reference(model, basis):
+    """The forward pass written over an explicit residual stack."""
+    source = basis.source.data
+    content = np.tensordot(model.content.weights, basis.tensor(), axes=1) + model.content.bias
+    residual = (
+        np.tensordot(model.residual.weights, build_residuals(basis).tensor(), axes=1)
+        + model.residual.bias
+    )
+    merged = (
+        model.merge.w_content * content
+        + model.merge.w_residual_path * (source - residual)
+        + model.merge.bias
+    )
+    return content, residual, merged
+
+
+def test_forward_matches_residual_stack_reference():
+    rng = np.random.default_rng(96)
+    for trial in range(100):
+        n = int(rng.integers(1, 10))
+        height, width = (int(v) for v in rng.integers(2, 9, 2))
+        basis, _ = _synthetic_problem(rng, n, height, width, channels=3 if trial % 2 else 1)
+        model = _random_model(rng, basis.configs)
+        out = forward(model, basis)
+        for got, want in zip((out.content, out.residual, out.merged),
+                             _residual_stack_reference(model, basis)):
+            assert np.max(np.abs(got - want)) <= 1e-12
+        legacy = forward(model, basis, build_residuals(basis))
+        for name in ("content", "residual", "merged", "source"):
+            assert np.array_equal(getattr(legacy, name), getattr(out, name))
 
 
 def test_outputs_clamp_only_on_export():
     source = Image.constant(4, 4, 0.9)
     basis = FilteredBasis(source, _dummy_configs(1), (Image.constant(4, 4, 0.9),))
-    residuals = build_residuals(basis)
     model = CompositionModel(
         basis.configs,
         BranchWeights(np.array([2.0]), 0.0),  # content = 1.8, out of range
         BranchWeights(np.zeros(1), 0.0),
         MergeWeights(1.0, 0.0, 0.0),
     )
-    out = forward(model, basis, residuals)
+    out = forward(model, basis)
     assert np.allclose(out.content, 1.8, atol=1e-12)
     assert np.all(out.content_image().data == 1.0)
 
@@ -247,17 +276,16 @@ def test_outputs_clamp_only_on_export():
 
 def test_total_loss_zero_at_perfect_fit():
     rng = np.random.default_rng(86)
-    basis, residuals, _ = _synthetic_problem(rng, 2, 5, 5)
+    basis, _ = _synthetic_problem(rng, 2, 5, 5)
     model = CompositionModel(
         basis.configs,
         BranchWeights(np.array([1.0, 0.0]), 0.0),
         BranchWeights(np.array([1.0, 0.0]), 0.0),
         MergeWeights(1.0, 0.0, 0.0),
     )
-    out = forward(model, basis, residuals)
+    out = forward(model, basis)
     gt_clean = basis.planes[0]
-    gt_artifact = residuals.planes[0]
-    total, components = total_loss(out, gt_clean, gt_artifact)
+    total, components = total_loss(out, gt_clean)
     assert total == 0.0
     assert components == (0.0, 0.0, 0.0)
 
@@ -273,8 +301,7 @@ def test_total_loss_components_weighted_sum():
         source=source,
     )
     gt_clean = Image(np.zeros((1, 2, 2)))
-    gt_artifact = np.zeros((1, 2, 2))
-    total, components = total_loss(outputs, gt_clean, gt_artifact)
+    total, components = total_loss(outputs, gt_clean)
     assert components == (1.0, 2.0, 3.0)
     assert total == 0.1 * 1.0 + 0.1 * 2.0 + 1.0 * 3.0
     assert abs(total - 3.3) < 1e-12
@@ -282,9 +309,9 @@ def test_total_loss_components_weighted_sum():
 
 def test_total_loss_gamma_zero_reduces_to_content_only():
     rng = np.random.default_rng(87)
-    basis, residuals, gt_clean = _synthetic_problem(rng, 2, 5, 5)
+    basis, gt_clean = _synthetic_problem(rng, 2, 5, 5)
     model = _random_model(rng, basis.configs)
-    out = forward(model, basis, residuals)
+    out = forward(model, basis)
     lw = LossWeights(alpha=1.0, lam=0.0, gamma=0.0)
     total, components = total_loss(out, gt_clean, lw=lw)
     assert total == pytest.approx(components[0], abs=1e-15)
@@ -292,9 +319,9 @@ def test_total_loss_gamma_zero_reduces_to_content_only():
 
 def test_total_loss_l1_tv_adds_tv_once():
     rng = np.random.default_rng(88)
-    basis, residuals, gt_clean = _synthetic_problem(rng, 2, 5, 5)
+    basis, gt_clean = _synthetic_problem(rng, 2, 5, 5)
     model = _random_model(rng, basis.configs)
-    out = forward(model, basis, residuals)
+    out = forward(model, basis)
     lw = LossWeights()
     base, components = total_loss(out, gt_clean, lw=lw, kind="l1_tv", tv_weight=0.0)
     with_tv, _ = total_loss(out, gt_clean, lw=lw, kind="l1_tv", tv_weight=0.25)
@@ -306,8 +333,8 @@ def test_total_loss_l1_tv_adds_tv_once():
 
 def test_total_loss_shape_mismatch():
     rng = np.random.default_rng(89)
-    basis, residuals, _ = _synthetic_problem(rng, 1, 4, 4)
-    out = forward(init_model(basis.configs), basis, residuals)
+    basis, _ = _synthetic_problem(rng, 1, 4, 4)
+    out = forward(init_model(basis.configs), basis)
     with pytest.raises(ValueError):
         total_loss(out, Image.constant(5, 4, 0.5))
 
@@ -324,7 +351,7 @@ def test_loss_weights_validation():
 
 def test_gradients_zero_at_perfect_fit():
     rng = np.random.default_rng(90)
-    basis, residuals, _ = _synthetic_problem(rng, 2, 5, 5)
+    basis, _ = _synthetic_problem(rng, 2, 5, 5)
     model = CompositionModel(
         basis.configs,
         BranchWeights(np.array([1.0, 0.0]), 0.0),
@@ -332,8 +359,7 @@ def test_gradients_zero_at_perfect_fit():
         MergeWeights(1.0, 0.0, 0.0),
     )
     gt_clean = basis.planes[0]
-    gt_artifact = residuals.planes[0]
-    loss, grads = gradients(model, basis, residuals, gt_clean, gt_artifact)
+    loss, grads = gradients(model, basis, gt_clean)
     assert loss == 0.0
     assert np.all(grads == 0.0)
 
@@ -342,7 +368,6 @@ def test_gradient_single_pixel_hand_value():
     # Single pixel, n=1, content-only: dL/dw = 2*(w*J + b - G)*J.
     source = Image.constant(1, 1, 0.5)
     basis = FilteredBasis(source, _dummy_configs(1), (Image.constant(1, 1, 0.5),))
-    residuals = build_residuals(basis)
     model = CompositionModel(
         basis.configs,
         BranchWeights(np.array([1.0]), 0.0),
@@ -351,7 +376,7 @@ def test_gradient_single_pixel_hand_value():
     )
     gt = Image.constant(1, 1, 0.25)
     lw = LossWeights(alpha=1.0, lam=0.0, gamma=0.0)
-    _, grads = gradients(model, basis, residuals, gt, lw=lw)
+    _, grads = gradients(model, basis, gt, lw=lw)
     # model_to_vector layout with n=1: [content_w, content_b, ...].
     assert grads[0] == pytest.approx(2 * (0.5 - 0.25) * 0.5, abs=1e-12)  # 0.25
     assert grads[1] == pytest.approx(2 * (0.5 - 0.25), abs=1e-12)
@@ -360,34 +385,32 @@ def test_gradient_single_pixel_hand_value():
 def test_gradients_match_finite_differences_mse():
     rng = np.random.default_rng(91)
     for n in (1, 2, 3):
-        basis, residuals, gt_clean = _synthetic_problem(rng, n, 4, 4)
+        basis, gt_clean = _synthetic_problem(rng, n, 4, 4)
         model = _random_model(rng, basis.configs)
         lw = LossWeights()
-        loss, grads = gradients(model, basis, residuals, gt_clean, lw=lw)
-        fd = fd_gradients(model, basis, residuals, gt_clean, None, lw, "mse", 0.0)
+        loss, grads = gradients(model, basis, gt_clean, lw=lw)
+        fd = fd_gradients(model, basis, gt_clean, lw, "mse", 0.0)
         assert _relative_error(grads, fd) < 1e-5
         assert loss > 0
 
 
 def test_gradients_match_finite_differences_l1_tv():
     rng = np.random.default_rng(92)
-    basis, residuals, gt_clean = _synthetic_problem(rng, 2, 5, 5)
+    basis, gt_clean = _synthetic_problem(rng, 2, 5, 5)
     model = _random_model(rng, basis.configs)
     lw = LossWeights()
-    _, grads = gradients(
-        model, basis, residuals, gt_clean, lw=lw, kind="l1_tv", tv_weight=0.1
-    )
-    fd = fd_gradients(model, basis, residuals, gt_clean, None, lw, "l1_tv", 0.1)
+    _, grads = gradients(model, basis, gt_clean, lw=lw, kind="l1_tv", tv_weight=0.1)
+    fd = fd_gradients(model, basis, gt_clean, lw, "l1_tv", 0.1)
     # Looser bound: |.| kinks limit finite-difference accuracy.
     assert _relative_error(grads, fd) < 1e-3
 
 
 def test_gradients_decouple_with_gamma_zero():
     rng = np.random.default_rng(93)
-    basis, residuals, gt_clean = _synthetic_problem(rng, 3, 5, 5)
+    basis, gt_clean = _synthetic_problem(rng, 3, 5, 5)
     model = _random_model(rng, basis.configs)
     lw = LossWeights(alpha=0.7, lam=0.4, gamma=0.0)
-    _, grads = gradients(model, basis, residuals, gt_clean, lw=lw)
+    _, grads = gradients(model, basis, gt_clean, lw=lw)
     n = basis.magnitude
     # model_to_vector layout: the three merge partials sit at 2n+2 .. 2n+4.
     assert grads[2 * n + 2] == 0.0
@@ -395,7 +418,7 @@ def test_gradients_decouple_with_gamma_zero():
     assert grads[2 * n + 4] == 0.0
     # Residual-branch gradients scale linearly with lam when gamma is 0.
     _, grads_double = gradients(
-        model, basis, residuals, gt_clean, lw=LossWeights(alpha=0.7, lam=0.8, gamma=0.0)
+        model, basis, gt_clean, lw=LossWeights(alpha=0.7, lam=0.8, gamma=0.0)
     )
     residual_w = slice(n + 1, 2 * n + 1)
     assert np.allclose(grads_double[residual_w], 2.0 * grads[residual_w], rtol=1e-12)

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -224,11 +225,14 @@ def test_dataset_manifest_number_errors_name_file_and_line(tmp_path, line):
 
 def test_split_validation_behavior():
     samples = _identity_suite(10, size=8)
-    train_part, val_part = split_validation(samples, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        train_part, val_part = split_validation(samples, 0.1)
     assert len(train_part) == 9 and len(val_part) == 1
     assert val_part[0] is samples[-1]
-    # Tiny datasets validate on the training set itself.
-    train_part, val_part = split_validation(samples[:3], 0.1)
+    # Tiny datasets validate on the training set itself, and say so.
+    with pytest.warns(UserWarning, match="validating on the training set"):
+        train_part, val_part = split_validation(samples[:3], 0.1)
     assert train_part == samples[:3] and val_part == samples[:3]
 
 
