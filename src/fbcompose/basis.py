@@ -389,10 +389,11 @@ class FBCache:
     """Content-addressed plane cache: one ``.npy`` file per (source, config).
 
     Layout: ``<root>/<sha256(image)[:16]>/<sha256(config)[:16]>.npy``.  The
-    image key hashes the raw float64 bytes plus dimensions, so any change to
-    either source or config misses cleanly.  Planes are stored losslessly;
-    the 8-bit file formats would quantize them and make cached and fresh
-    runs diverge.
+    image key hashes the raw float64 bytes plus dimensions, the config key
+    the canonical form salted with ``filters.KERNEL_VERSION``, so a change
+    to source, config or kernel version misses cleanly.  Planes are stored
+    losslessly; the 8-bit file formats would quantize them and make cached
+    and fresh runs diverge.
     """
 
     def __init__(self, root) -> None:
@@ -408,7 +409,8 @@ class FBCache:
 
     @staticmethod
     def _config_key(cfg: FilterConfig) -> str:
-        return hashlib.sha256(cfg.canonical().encode()).hexdigest()[:16]
+        salted = f"kernels/{filters.KERNEL_VERSION}:{cfg.canonical()}"
+        return hashlib.sha256(salted.encode()).hexdigest()[:16]
 
     def path_for(self, img: Image, cfg: FilterConfig) -> Path:
         return self.root / self._image_key(img) / (self._config_key(cfg) + ".npy")

@@ -90,28 +90,35 @@ def _thread_count(text: str) -> int:
 
 def _training_inputs(args):
     """Preset configs, training samples, optional validation samples, the
-    training recipe and the plane cache shared by ``train`` and ``ablate``."""
+    training recipe and the plane cache shared by ``train`` and ``ablate``.
+    The recipe is checked first, so a bad recipe flag is a usage error
+    whatever the data."""
+    cfg = _training_config(args)
     configs = _load_preset(args.preset)
     samples = _load_dataset(args.data, args.seed)
     val_samples = _load_dataset(args.val, args.seed) if args.val else None
-    cfg = _training_config(args)
     cache = FBCache(args.cache) if args.cache else None
     return configs, samples, val_samples, cfg, cache
 
 
 def _training_config(args) -> TrainingConfig:
-    return TrainingConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr0=args.lr0,
-        lr_divisor=args.lr_divisor,
-        lr_period=args.lr_period,
-        loss=LossWeights(args.alpha, args.lam, args.gamma),
-        loss_kind=args.loss,
-        tv_weight=args.tv_weight,
-        seed=args.seed,
-        shuffle=not args.no_shuffle,
-    )
+    """The recipe flags as a TrainingConfig; a value it or LossWeights
+    rejects is a usage error."""
+    try:
+        return TrainingConfig(
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            lr0=args.lr0,
+            lr_divisor=args.lr_divisor,
+            lr_period=args.lr_period,
+            loss=LossWeights(args.alpha, args.lam, args.gamma),
+            loss_kind=args.loss,
+            tv_weight=args.tv_weight,
+            seed=args.seed,
+            shuffle=not args.no_shuffle,
+        )
+    except ValueError as exc:
+        raise _UsageError(f"{args.command}: {exc}") from exc
 
 
 def _add_training_flags(parser) -> None:
@@ -340,6 +347,8 @@ def bench(
 
 
 def _cmd_bench(args) -> int:
+    if args.reps < 3:
+        raise _UsageError(f"bench: --reps must be >= 3, got {args.reps}")
     configs = _load_preset(args.preset)
     image = read_image(args.image)
     report = bench(configs, image, repetitions=args.reps, threads=args.threads)

@@ -195,6 +195,11 @@ def parse_config(text: str) -> FilterConfig:
 # Kernels
 # ---------------------------------------------------------------------------
 
+# Version of the kernels' output: bump it whenever any kernel's result
+# changes, so planes an older kernel wrote to a plane cache miss instead of
+# being served (``basis.FBCache`` salts its keys with it).
+KERNEL_VERSION = 1
+
 
 def gaussian_kernel1d(sigma_spatial: float) -> np.ndarray:
     """Normalized 1-D Gaussian taps with radius ceil(3*sigma)."""

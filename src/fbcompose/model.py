@@ -5,6 +5,8 @@ branch blends the residual planes source - plane, and a merge layer combines
 the content estimate with source - residual estimate.  The residual branch
 is computed from the basis; no residual stack is built.  All weights are
 shared across color channels, so a magnitude-n basis trains 2n + 5 scalars.
+Being linear, the "mse" objective can also be taken from a per-sample Gram
+matrix (``gram_matrix``, ``gram_gradients``) without touching the pixels.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name, value in (("alpha", self.alpha), ("lam", self.lam), ("gamma", self.gamma)):
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+            if not (0.0 <= value < np.inf):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,6 +288,83 @@ def gradients(
         ]
     )
     return total, grads
+
+
+# ---------------------------------------------------------------------------
+# Gram-matrix form of the "mse" objective
+# ---------------------------------------------------------------------------
+
+
+def gram_matrix(basis: FilteredBasis, gt_clean: Image) -> np.ndarray:
+    """Mean Gram matrix X^T X / count of the columns X = [p_1..p_n, source,
+    target, 1], with one row per pixel and channel.
+
+    Every output and target of the model is a linear combination of these
+    columns, so a sample's "mse" objective and its gradients depend on its
+    data only through this (n + 3) x (n + 3) matrix (see ``gram_gradients``).
+    It is built from pairwise dot products of the flattened columns, so no
+    buffer larger than one plane is allocated.
+    """
+    target = gt_clean.data
+    if target.shape != basis.source.shape:
+        raise ValueError(
+            f"target shape {target.shape} does not match basis {basis.source.shape}"
+        )
+    columns = [plane.data.ravel() for plane in basis.planes]
+    columns += [basis.source.data.ravel(), target.ravel()]
+    m = len(columns)
+    gram = np.empty((m + 1, m + 1))
+    for i, column in enumerate(columns):
+        gram[i, :m] = [column @ other for other in columns]
+        gram[i, m] = gram[m, i] = column.sum()
+    gram[m, m] = target.size
+    return gram / target.size
+
+
+def gram_gradients(
+    model: CompositionModel, gram: np.ndarray, lw: LossWeights = LossWeights()
+) -> tuple[float, np.ndarray]:
+    """``gradients(model, basis, gt_clean, lw, "mse")`` computed in O(n^2)
+    from the sample's ``gram_matrix`` alone.
+
+    Each error (an output minus its target) is X @ a for a coefficient
+    vector a over the Gram columns, so its mean square is a^T G a and the
+    pixel adjoint 2 * error / count contracts with X to 2 G a.  Those
+    adjoints chain into the weights exactly as in ``gradients``.  Each loss
+    component is floored at 0, since a^T G a can round below zero at an
+    exact fit.
+    """
+    n = model.magnitude
+    if gram.shape != (n + 3, n + 3):
+        raise ValueError(
+            f"Gram matrix shape {gram.shape} does not match model magnitude {n}"
+        )
+    wr = model.residual.weights
+    w_content, w_restored = model.merge.w_content, model.merge.w_residual_path
+    target, one = np.eye(n + 3)[n + 1 :]
+    content = np.concatenate([model.content.weights, [0.0, 0.0, model.content.bias]])
+    # source - residual, the estimate the residual path hands to the merge.
+    restored = np.concatenate([wr, [1.0 - wr.sum(), 0.0, -model.residual.bias]])
+    merged = w_content * content + w_restored * restored + model.merge.bias * one
+    errors = np.stack([content - target, target - restored, merged - target])
+    projected = errors @ gram
+    l_c, l_r, l_m = (max(float(v), 0.0) for v in (errors * projected).sum(axis=1))
+    total = lw.alpha * l_c + lw.lam * l_r + lw.gamma * l_m
+
+    d_c, d_r, d_m = 2.0 * projected
+    adj_m = lw.gamma * d_m
+    adj_c = lw.alpha * d_c + w_content * adj_m
+    adj_r = lw.lam * d_r - w_restored * adj_m
+    grads = np.concatenate(
+        [
+            adj_c[:n],
+            [adj_c[n + 2]],
+            adj_r[n] - adj_r[:n],
+            [adj_r[n + 2]],
+            [adj_m @ content, adj_m @ restored, adj_m[n + 2]],
+        ]
+    )
+    return float(total), grads
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import shlex
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .model import (
     LossWeights,
     forward,
     gradients,
+    gram_gradients,
+    gram_matrix,
     init_model,
     model_to_vector,
     vector_to_model,
@@ -64,6 +66,10 @@ class TrainingConfig:
             raise ValueError(f"lr_period must be >= 1, got {self.lr_period}")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
+        if not (0.0 <= self.tv_weight < np.inf):
+            raise ValueError(f"tv_weight must be finite and non-negative, got {self.tv_weight}")
+        if self.loss_kind != "l1_tv" and self.tv_weight != 0.0:
+            raise ValueError(f"tv_weight must be 0 unless loss_kind is 'l1_tv', got {self.tv_weight}")
 
 
 def lr_at(epoch: int, cfg: TrainingConfig) -> float:
@@ -267,11 +273,14 @@ def _prepare(
     configs: Sequence[FilterConfig],
     threads: int,
     cache: FBCache | None,
-) -> list[FilteredBasis]:
-    """One basis over each sample's degraded image, in sample order."""
+    reduce: Callable[[FilteredBasis, Image], object] | None = None,
+) -> list:
+    """One basis over each sample's degraded image, in sample order.  With
+    ``reduce``, ``reduce(basis, clean)`` is kept instead and the basis freed."""
 
-    def one(sample: Sample) -> FilteredBasis:
-        return build_basis(sample.degraded, configs, threads=1, cache=cache)
+    def one(sample: Sample):
+        basis = build_basis(sample.degraded, configs, threads=1, cache=cache)
+        return basis if reduce is None else reduce(basis, sample.clean)
 
     return _ordered_map(one, list(samples), threads)
 
@@ -303,6 +312,11 @@ def train(
     cfg.seed) and independent of ``threads``, which only parallelizes basis
     construction.  Without an explicit validation set the trailing
     ``val_fraction`` of samples is held out.
+
+    The "mse" objective is quadratic, so each training sample is reduced to
+    its ``gram_matrix`` once and every step takes ``gram_gradients`` from
+    it; "l1_tv" keeps the bases and steps with the pixel ``gradients``.
+    Validation always scores the clamped merged image.
     """
     samples = list(samples)
     if not samples:
@@ -314,7 +328,21 @@ def train(
         if not val_part:
             raise ValueError("explicit validation set is empty")
 
-    bases_train = _prepare(train_part, basis_configs, threads, cache)
+    if cfg.loss_kind == "mse":
+        grams = _prepare(train_part, basis_configs, threads, cache, gram_matrix)
+
+        def sample_gradients(model: CompositionModel, idx: int) -> tuple[float, np.ndarray]:
+            return gram_gradients(model, grams[idx], cfg.loss)
+
+    else:
+        bases_train = _prepare(train_part, basis_configs, threads, cache)
+
+        def sample_gradients(model: CompositionModel, idx: int) -> tuple[float, np.ndarray]:
+            return gradients(
+                model, bases_train[idx], train_part[idx].clean,
+                cfg.loss, cfg.loss_kind, cfg.tv_weight,
+            )
+
     bases_val = _prepare(val_part, basis_configs, threads, cache)
 
     model = init_model(basis_configs)
@@ -338,14 +366,7 @@ def train(
             grad_vec = np.zeros_like(params)
             loss_sum = 0.0
             for idx in chunk:
-                loss, grads = gradients(
-                    model,
-                    bases_train[idx],
-                    train_part[idx].clean,
-                    cfg.loss,
-                    cfg.loss_kind,
-                    cfg.tv_weight,
-                )
+                loss, grads = sample_gradients(model, idx)
                 grad_vec += grads
                 loss_sum += loss
             grad_vec /= len(chunk)

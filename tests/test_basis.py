@@ -465,3 +465,21 @@ def test_fb_cache_recomputes_when_file_removed(tmp_path):
     cache.path_for(img, configs[0]).unlink()
     again = build_basis(img, configs, cache=cache)
     assert again.planes[0] == basis.planes[0]
+
+
+def test_fb_cache_key_covers_kernel_version(tmp_path, monkeypatch):
+    from fbcompose import filters as filters_mod
+
+    img = synthetic_clean(77, width=10, height=10)
+    cfg = Median(3, 3)
+    plane = build_basis(img, [cfg]).planes[0]
+    cache = FBCache(tmp_path / "cache")
+    cache.put(img, cfg, plane)
+    assert cache.get(img, cfg) == plane
+    monkeypatch.setattr(filters_mod, "KERNEL_VERSION", filters_mod.KERNEL_VERSION + 1)
+    assert cache.get(img, cfg) is None
+    cache.put(img, cfg, plane)
+    monkeypatch.undo()
+    # Each version keeps its own entry.
+    assert len(list(cache.path_for(img, cfg).parent.iterdir())) == 2
+    assert cache.get(img, cfg) == plane

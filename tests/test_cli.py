@@ -311,6 +311,34 @@ def test_nonpositive_threads_is_usage_error(workspace, capsys, args, threads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["train", "--epochs", "0"], "epochs"),
+        (["train", "--lr0", "0"], "lr0"),
+        (["train", "--alpha", "-1"], "alpha"),
+        (["train", "--gamma", "nan"], "gamma"),
+        (["train", "--tv-weight", "0.5"], "tv_weight"),  # the default loss never reads it
+        (["train", "--loss", "l1_tv", "--tv-weight", "-0.5"], "tv_weight"),
+        (["train", "--loss", "l1_tv", "--tv-weight", "inf"], "tv_weight"),
+        (["ablate", "--epochs", "0"], "epochs"),
+        (["ablate", "--tv-weight", "0.5"], "tv_weight"),
+        (["bench", "--reps", "2"], "--reps"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_rejected_recipe_flag_is_usage_error(workspace, capsys, args, field):
+    out = workspace / "out.txt"
+    if args[0] == "bench":
+        inputs = ["--preset", str(workspace / "preset.txt"), "--image", str(workspace / "clean.pgm")]
+    else:
+        inputs = ["--preset", str(workspace / "preset.txt"), "--data", str(workspace / "data.txt"),
+                  "--out", str(out)]
+    assert run([args[0], *inputs, *args[1:]]) == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_exits_zero():
     assert run(["--help"]) == 0
     assert run(["train", "--help"]) == 0

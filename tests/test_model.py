@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbcompose import (
     BranchWeights,
@@ -25,6 +26,8 @@ from fbcompose.model import (
     ModelCountError,
     ModelDocumentError,
     ModelVersionError,
+    gram_gradients,
+    gram_matrix,
     model_to_vector,
     vector_to_model,
 )
@@ -422,6 +425,56 @@ def test_gradients_decouple_with_gamma_zero():
     )
     residual_w = slice(n + 1, 2 * n + 1)
     assert np.allclose(grads_double[residual_w], 2.0 * grads[residual_w], rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Gram-matrix objective
+# ---------------------------------------------------------------------------
+
+_loss_term = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 9),
+    channels=st.sampled_from([1, 3]),
+    height=st.integers(1, 12),
+    width=st.integers(1, 12),
+    lw=st.builds(LossWeights, _loss_term, _loss_term, _loss_term),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_gradients_match_pixel_gradients(n, channels, height, width, lw, seed):
+    rng = np.random.default_rng(seed)
+    basis, gt_clean = _synthetic_problem(rng, n, height, width, channels)
+    model = _random_model(rng, basis.configs)
+    loss, grads = gradients(model, basis, gt_clean, lw, "mse")
+    gram_loss, gram_grads = gram_gradients(model, gram_matrix(basis, gt_clean), lw)
+    assert abs(gram_loss - loss) <= 1e-9 * loss
+    assert np.max(np.abs(gram_grads - grads)) <= 1e-9 * np.max(np.abs(grads))
+
+
+def test_gram_gradients_zero_at_perfect_fit():
+    rng = np.random.default_rng(94)
+    basis, _ = _synthetic_problem(rng, 2, 5, 5)
+    model = CompositionModel(
+        basis.configs,
+        BranchWeights(np.array([1.0, 0.0]), 0.0),
+        BranchWeights(np.array([1.0, 0.0]), 0.0),
+        MergeWeights(1.0, 0.0, 0.0),
+    )
+    loss, grads = gram_gradients(model, gram_matrix(basis, basis.planes[0]))
+    assert loss == 0.0
+    assert np.max(np.abs(grads)) < 1e-14
+
+
+def test_gram_shape_mismatches():
+    rng = np.random.default_rng(95)
+    basis, gt_clean = _synthetic_problem(rng, 2, 4, 4)
+    with pytest.raises(ValueError):
+        gram_matrix(basis, Image(rng.random((1, 4, 5))))
+    model = init_model(_dummy_configs(3))
+    with pytest.raises(ValueError):
+        gram_gradients(model, gram_matrix(basis, gt_clean))
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,14 @@ from fbcompose.model import (
     BranchWeights,
     CompositionModel,
     MergeWeights,
+    forward,
+    gradients,
     init_model,
     model_to_vector,
+    vector_to_model,
 )
 from fbcompose.trainer import (
+    EpochRecord,
     PairEntry,
     RecipeEntry,
     derive_seed,
@@ -86,6 +90,24 @@ def test_training_config_validation():
         TrainingConfig(lr_divisor=1.0)
     with pytest.raises(ValueError):
         TrainingConfig(loss_kind="huber")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tv_weight": 0.5},  # the mse objective never reads it
+        {"loss_kind": "l1_tv", "tv_weight": -0.1},
+        {"loss_kind": "l1_tv", "tv_weight": float("nan")},
+        {"loss_kind": "l1_tv", "tv_weight": float("inf")},
+    ],
+)
+def test_training_config_rejects_tv_weight(kwargs):
+    with pytest.raises(ValueError, match="tv_weight"):
+        TrainingConfig(**kwargs)
+
+
+def test_training_config_accepts_tv_weight_for_l1_tv():
+    assert TrainingConfig(loss_kind="l1_tv", tv_weight=0.5).tv_weight == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +332,77 @@ def test_train_best_model_retained_in_history():
     assert history.best_epoch == best.epoch
     assert history.best_val_psnr == best.val_psnr
     assert history.best_model.magnitude == 1
+
+
+def _reference_train(samples, configs, cfg, val_samples):
+    """The training loop written out on the pixel ``gradients``: the same
+    draw order, batching, Adam steps and validation as ``train``."""
+    bases = [build_basis(s.degraded, configs) for s in samples]
+    val_bases = [build_basis(s.degraded, configs) for s in val_samples]
+    params = model_to_vector(init_model(configs))
+    state = AdamState.zeros(params.size)
+    rng = np.random.default_rng(cfg.seed)
+    records = []
+    for epoch in range(cfg.epochs):
+        lr = lr_at(epoch, cfg)
+        order = rng.permutation(len(samples)) if cfg.shuffle else np.arange(len(samples))
+        losses = []
+        for start in range(0, len(order), cfg.batch_size):
+            chunk = order[start : start + cfg.batch_size]
+            model = vector_to_model(params, configs)
+            grad_vec = np.zeros_like(params)
+            loss_sum = 0.0
+            for idx in chunk:
+                loss, grads = gradients(
+                    model, bases[idx], samples[idx].clean, cfg.loss, cfg.loss_kind, cfg.tv_weight
+                )
+                grad_vec += grads
+                loss_sum += loss
+            grad_vec /= len(chunk)
+            params, state = adam_step(params, grad_vec, state, lr)
+            losses.append(loss_sum / len(chunk))
+        model = vector_to_model(params, configs)
+        val_psnr = float(np.mean([
+            psnr(forward(model, basis).merged_image(), sample.clean)
+            for sample, basis in zip(val_samples, val_bases)
+        ]))
+        records.append(EpochRecord(epoch, lr, float(np.mean(losses)), val_psnr))
+    return params, records
+
+
+def _noisy_suite(count, size, seed):
+    samples = []
+    for i in range(count):
+        clean = synthetic_clean(seed + i, width=size, height=size)
+        samples.append(Sample(f"e{i}", add_gaussian_noise(clean, 25.0, seed=seed + i), clean))
+    return samples
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_train_mse_matches_pixel_gradient_reference(batch_size):
+    samples = _noisy_suite(5, 16, 280)
+    val = _noisy_suite(2, 16, 290)
+    configs = [Median(3, 3), Gaussian(1.0), Median(1, 1)]
+    cfg = TrainingConfig(seed=12, epochs=20, batch_size=batch_size)
+    model, history = train(samples, configs, cfg, val_samples=val)
+    ref_params, ref_records = _reference_train(samples, configs, cfg, val)
+    assert np.max(np.abs(model_to_vector(model) - ref_params)) <= 1e-6
+    for got, want in zip(history.records, ref_records, strict=True):
+        assert (got.epoch, got.lr) == (want.epoch, want.lr)
+        assert abs(got.val_psnr - want.val_psnr) <= 1e-6
+        assert got.train_loss == pytest.approx(want.train_loss, rel=1e-9)
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_train_l1_tv_is_the_pixel_gradient_reference(batch_size):
+    samples = _noisy_suite(5, 16, 300)
+    val = _noisy_suite(2, 16, 310)
+    configs = [Median(3, 3), Gaussian(1.0), Median(1, 1)]
+    cfg = TrainingConfig(seed=13, epochs=20, batch_size=batch_size, loss_kind="l1_tv", tv_weight=0.05)
+    model, history = train(samples, configs, cfg, val_samples=val)
+    ref_params, ref_records = _reference_train(samples, configs, cfg, val)
+    assert np.array_equal(model_to_vector(model), ref_params)
+    assert list(history.records) == ref_records
 
 
 def test_train_rejects_empty_dataset():
