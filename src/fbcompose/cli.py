@@ -90,15 +90,17 @@ def _thread_count(text: str) -> int:
 
 def _training_inputs(args):
     """Preset configs, training samples, optional validation samples, the
-    training recipe and the plane cache shared by ``train`` and ``ablate``.
+    manifest's validation fraction (unused with ``--val``), the training
+    recipe and the plane cache shared by ``train`` and ``ablate``.
     The recipe is checked first, so a bad recipe flag is a usage error
     whatever the data."""
     cfg = _training_config(args)
     configs = _load_preset(args.preset)
-    samples = _load_dataset(args.data, args.seed)
+    spec = DatasetSpec.read(args.data)
+    samples = spec.load(args.seed)
     val_samples = _load_dataset(args.val, args.seed) if args.val else None
     cache = FBCache(args.cache) if args.cache else None
-    return configs, samples, val_samples, cfg, cache
+    return configs, samples, val_samples, spec.val_fraction, cfg, cache
 
 
 def _training_config(args) -> TrainingConfig:
@@ -206,10 +208,10 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    configs, samples, val_samples, cfg, cache = _training_inputs(args)
+    configs, samples, val_samples, val_fraction, cfg, cache = _training_inputs(args)
     model, history = train(
-        samples, configs, cfg,
-        val_samples=val_samples, threads=args.threads, cache=cache,
+        samples, configs, cfg, val_samples=val_samples,
+        val_fraction=val_fraction, threads=args.threads, cache=cache,
     )
     training_info = {
         "loss_kind": cfg.loss_kind,
@@ -267,10 +269,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    configs, samples, val_samples, cfg, cache = _training_inputs(args)
+    configs, samples, val_samples, val_fraction, cfg, cache = _training_inputs(args)
     report = ablate_residual(
-        samples, configs, cfg,
-        val_samples=val_samples, threads=args.threads, cache=cache,
+        samples, configs, cfg, val_samples=val_samples,
+        val_fraction=val_fraction, threads=args.threads, cache=cache,
     )
     lines = [
         f"dual_branch_psnr_db={report.dual_branch_psnr!r}",

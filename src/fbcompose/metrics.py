@@ -7,14 +7,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .filters import gaussian_kernel1d
 from .image import Image
 
 # Zero-MSE pairs report this finite sentinel instead of infinity so reports
 # stay sortable.
 PSNR_CAP_DB = 100.0
 
-SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
+_SSIM_TAPS = gaussian_kernel1d(SSIM_SIGMA)
+SSIM_WINDOW = _SSIM_TAPS.size  # 11: radius ceil(3 * sigma)
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
@@ -32,18 +34,11 @@ def psnr(a: Image, b: Image, peak: float = 1.0) -> float:
     return float(10.0 * np.log10(peak * peak / mse))
 
 
-def _gaussian_window(size: int, sigma: float) -> np.ndarray:
-    half = size // 2
-    coords = np.arange(size, dtype=np.float64) - half
-    one_d = np.exp(-(coords * coords) / (2.0 * sigma * sigma))
-    window = np.outer(one_d, one_d)
-    return window / window.sum()
-
-
-def _windowed_valid(plane: np.ndarray, window: np.ndarray) -> np.ndarray:
-    k = window.shape[0]
-    view = np.lib.stride_tricks.sliding_window_view(plane, (k, k))
-    return np.tensordot(view, window, axes=([2, 3], [0, 1]))
+def _windowed_valid(plane: np.ndarray) -> np.ndarray:
+    """Gaussian-weighted means over every full window, as two 1-D passes."""
+    k = SSIM_WINDOW
+    rows = np.lib.stride_tricks.sliding_window_view(plane, k, axis=0) @ _SSIM_TAPS
+    return np.lib.stride_tricks.sliding_window_view(rows, k, axis=1) @ _SSIM_TAPS
 
 
 def ssim(a: Image, b: Image) -> float:
@@ -63,13 +58,12 @@ def ssim(a: Image, b: Image) -> float:
         )
     x = a.to_gray().data[0]
     y = b.to_gray().data[0]
-    window = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
 
-    mu_x = _windowed_valid(x, window)
-    mu_y = _windowed_valid(y, window)
-    var_x = np.maximum(_windowed_valid(x * x, window) - mu_x * mu_x, 0.0)
-    var_y = np.maximum(_windowed_valid(y * y, window) - mu_y * mu_y, 0.0)
-    cov = _windowed_valid(x * y, window) - mu_x * mu_y
+    mu_x = _windowed_valid(x)
+    mu_y = _windowed_valid(y)
+    var_x = np.maximum(_windowed_valid(x * x) - mu_x * mu_x, 0.0)
+    var_y = np.maximum(_windowed_valid(y * y) - mu_y * mu_y, 0.0)
+    cov = _windowed_valid(x * y) - mu_x * mu_y
 
     c1 = SSIM_K1 * SSIM_K1
     c2 = SSIM_K2 * SSIM_K2

@@ -2,11 +2,15 @@
 
 The model is linear: a content branch blends the basis planes, a residual
 branch blends the residual planes source - plane, and a merge layer combines
-the content estimate with source - residual estimate.  The residual branch
-is computed from the basis; no residual stack is built.  All weights are
+the content estimate with source - residual estimate.  All weights are
 shared across color channels, so a magnitude-n basis trains 2n + 5 scalars.
-Being linear, the "mse" objective can also be taken from a per-sample Gram
-matrix (``gram_matrix``, ``gram_gradients``) without touching the pixels.
+
+Being linear, the model is declared once, as a 3 x (n + 2) coefficient
+matrix over the columns [p_1..p_n, source, 1] whose rows give the content,
+restored (source - residual) and merged outputs.  ``forward`` contracts it
+with the planes; ``gradients`` (per pixel) and ``gram_gradients`` (from a
+per-sample Gram matrix, "mse" only) both find the loss gradient with respect
+to that matrix and share one chain from it to the weights.
 """
 
 from __future__ import annotations
@@ -156,31 +160,40 @@ class ForwardOutputs:
         return Image(self.merged)
 
 
+def _coefficients(model: CompositionModel) -> np.ndarray:
+    """The model as one linear map: rows content, restored = source -
+    residual and merged = w1*content + w2*restored + bm, over the columns
+    [p_1..p_n, source, 1]."""
+    wr = model.residual.weights
+    content = np.concatenate([model.content.weights, [0.0, model.content.bias]])
+    restored = np.concatenate([wr, [1.0 - wr.sum(), -model.residual.bias]])
+    merged = model.merge.w_content * content + model.merge.w_residual_path * restored
+    merged[-1] += model.merge.bias
+    return np.stack([content, restored, merged])
+
+
 def forward(model: CompositionModel, basis: FilteredBasis, residuals=None) -> ForwardOutputs:
     """Per pixel and channel: content = sum_i wc[i]*plane[i] + bc, residual =
     sum_i wr[i]*(source - plane[i]) + br, merged = w1*content + w2*(source -
     residual) + bm.
 
-    One contraction of [wc; wr] with the planes gives both blends, and the
-    residual branch is sum(wr)*source - sum_i wr[i]*plane[i] + br.
-    ``residuals`` is never read: it is kept only for three-argument callers
-    until the benchmark's next update.
+    All three outputs come from one contraction of the model's coefficient
+    matrix with the planes and the source.  ``residuals`` is never read: it
+    is kept only for three-argument callers until the benchmark's next
+    update.
     """
     if basis.magnitude != model.magnitude:
         raise ValueError(
             f"basis magnitude {basis.magnitude} does not match model magnitude {model.magnitude}"
         )
+    n = model.magnitude
     source = basis.source.data
-    weights = np.stack([model.content.weights, model.residual.weights])
-    blends = np.tensordot(weights, basis.tensor(), axes=1)
-    content = blends[0] + model.content.bias
-    residual = model.residual.weights.sum() * source - blends[1] + model.residual.bias
-    merged = (
-        model.merge.w_content * content
-        + model.merge.w_residual_path * (source - residual)
-        + model.merge.bias
-    )
-    return ForwardOutputs(content, residual, merged, source)
+    coeffs = _coefficients(model)
+    outputs = (coeffs[:, :n] @ basis.tensor().reshape(n, -1)).reshape((3,) + source.shape)
+    outputs += np.multiply.outer(coeffs[:, n], source)
+    outputs += coeffs[:, n + 1, None, None, None]
+    content, restored, merged = outputs
+    return ForwardOutputs(content, source - restored, merged, source)
 
 
 def _component(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
@@ -238,6 +251,24 @@ def _tv_adjoint(z: np.ndarray) -> np.ndarray:
     return adj / (height * width)
 
 
+def _chain(model: CompositionModel, coeffs: np.ndarray, d_coeffs: np.ndarray) -> np.ndarray:
+    """The loss gradient with respect to the coefficient matrix, chained into
+    the weights in the ``model_to_vector`` layout."""
+    n = model.magnitude
+    d_merged = d_coeffs[2]
+    merge = np.array([[model.merge.w_content], [model.merge.w_residual_path]])
+    content, restored = d_coeffs[:2] + merge * d_merged
+    return np.concatenate(
+        [
+            content[:n],
+            content[n + 1 :],
+            restored[:n] - restored[n],
+            -restored[n + 1 :],
+            [d_merged @ coeffs[0], d_merged @ coeffs[1], d_merged[n + 1]],
+        ]
+    )
+
+
 def gradients(
     model: CompositionModel,
     basis: FilteredBasis,
@@ -249,45 +280,35 @@ def gradients(
     """Exact derivatives of ``total_loss`` w.r.t. every weight and bias,
     as one vector in the ``model_to_vector`` layout.
 
-    The merge term chains into both branches; for "l1_tv" the subgradient of
-    |.| at exact zeros is 0.
+    The per-pixel adjoints of the content, restored and merged outputs are
+    contracted with the coefficient matrix's columns; for "l1_tv" the
+    subgradient of |.| at exact zeros is 0.
     """
     out = forward(model, basis)
     target = gt_clean.data
-    artifact = out.source - target
     total, _ = total_loss(out, gt_clean, lw, kind, tv_weight)
 
-    count = target.size
-    if kind == "mse":
-        d_c = (2.0 / count) * (out.content - target)
-        d_r = (2.0 / count) * (out.residual - artifact)
-        d_m = (2.0 / count) * (out.merged - target)
-    else:
-        d_c = np.sign(out.content - target) / count
-        d_r = np.sign(out.residual - artifact) / count
-        d_m = np.sign(out.merged - target) / count
-
-    adj_m = lw.gamma * d_m
-    if kind == "l1_tv" and tv_weight != 0.0:
-        adj_m = adj_m + tv_weight * _tv_adjoint(out.merged)
-    adj_c = lw.alpha * d_c + model.merge.w_content * adj_m
-    adj_r = lw.lam * d_r - model.merge.w_residual_path * adj_m
-
-    # d(residual)/d(wr[i]) = source - plane[i], so one contraction of the
-    # planes against [adj_c; adj_r] serves both branches.
-    plane_dots = np.tensordot(
-        basis.tensor(), np.stack([adj_c, adj_r]), axes=([1, 2, 3], [1, 2, 3])
+    # Each output minus its target; the residual's target is source - clean.
+    errors = np.stack(
+        [out.content - target, out.residual - (out.source - target), out.merged - target]
     )
-    grads = np.concatenate(
+    count = target.size
+    d = (2.0 / count) * errors if kind == "mse" else np.sign(errors) / count
+    # Adjoints of the content, restored and merged rows: restored = source -
+    # residual, so the residual term's sign flips.
+    adjoints = np.array([lw.alpha, -lw.lam, lw.gamma])[:, None, None, None] * d
+    if kind == "l1_tv" and tv_weight != 0.0:
+        adjoints[2] += tv_weight * _tv_adjoint(out.merged)
+
+    pixels = (1, 2, 3)
+    d_coeffs = np.column_stack(
         [
-            plane_dots[:, 0],
-            [adj_c.sum()],
-            (out.source * adj_r).sum() - plane_dots[:, 1],
-            [adj_r.sum()],
-            [(adj_m * out.content).sum(), (adj_m * (out.source - out.residual)).sum(), adj_m.sum()],
+            np.tensordot(adjoints, basis.tensor(), axes=(pixels, pixels)),
+            np.tensordot(adjoints, out.source, axes=3),
+            adjoints.sum(axis=pixels),
         ]
     )
-    return total, grads
+    return total, _chain(model, _coefficients(model), d_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +318,14 @@ def gradients(
 
 def gram_matrix(basis: FilteredBasis, gt_clean: Image) -> np.ndarray:
     """Mean Gram matrix X^T X / count of the columns X = [p_1..p_n, source,
-    target, 1], with one row per pixel and channel.
+    1, target], with one row per pixel and channel.
 
-    Every output and target of the model is a linear combination of these
-    columns, so a sample's "mse" objective and its gradients depend on its
-    data only through this (n + 3) x (n + 3) matrix (see ``gram_gradients``).
-    It is built from pairwise dot products of the flattened columns, so no
-    buffer larger than one plane is allocated.
+    Every output of the model is a combination of the first n + 2 columns
+    (the coefficient matrix's), and every target adds the last one, so a
+    sample's "mse" objective and its gradients depend on its data only
+    through this (n + 3) x (n + 3) matrix (see ``gram_gradients``).  It is
+    built from the dot products of the flattened columns, so no buffer
+    larger than one plane is allocated.
     """
     target = gt_clean.data
     if target.shape != basis.source.shape:
@@ -311,14 +333,8 @@ def gram_matrix(basis: FilteredBasis, gt_clean: Image) -> np.ndarray:
             f"target shape {target.shape} does not match basis {basis.source.shape}"
         )
     columns = [plane.data.ravel() for plane in basis.planes]
-    columns += [basis.source.data.ravel(), target.ravel()]
-    m = len(columns)
-    gram = np.empty((m + 1, m + 1))
-    for i, column in enumerate(columns):
-        gram[i, :m] = [column @ other for other in columns]
-        gram[i, m] = gram[m, i] = column.sum()
-    gram[m, m] = target.size
-    return gram / target.size
+    columns += [basis.source.data.ravel(), np.ones(target.size), target.ravel()]
+    return np.array([[a @ b for b in columns] for a in columns]) / target.size
 
 
 def gram_gradients(
@@ -327,11 +343,11 @@ def gram_gradients(
     """``gradients(model, basis, gt_clean, lw, "mse")`` computed in O(n^2)
     from the sample's ``gram_matrix`` alone.
 
-    Each error (an output minus its target) is X @ a for a coefficient
-    vector a over the Gram columns, so its mean square is a^T G a and the
-    pixel adjoint 2 * error / count contracts with X to 2 G a.  Those
-    adjoints chain into the weights exactly as in ``gradients``.  Each loss
-    component is floored at 0, since a^T G a can round below zero at an
+    Each output minus the clean target (the restored output's error is the
+    residual error negated) is X @ e for a row e of the coefficient matrix
+    extended by -1 on the target column, so its mean square is e^T G e and
+    its gradient with respect to the coefficients is 2 G e.  Each loss
+    component is floored at 0, since e^T G e can round below zero at an
     exact fit.
     """
     n = model.magnitude
@@ -339,32 +355,13 @@ def gram_gradients(
         raise ValueError(
             f"Gram matrix shape {gram.shape} does not match model magnitude {n}"
         )
-    wr = model.residual.weights
-    w_content, w_restored = model.merge.w_content, model.merge.w_residual_path
-    target, one = np.eye(n + 3)[n + 1 :]
-    content = np.concatenate([model.content.weights, [0.0, 0.0, model.content.bias]])
-    # source - residual, the estimate the residual path hands to the merge.
-    restored = np.concatenate([wr, [1.0 - wr.sum(), 0.0, -model.residual.bias]])
-    merged = w_content * content + w_restored * restored + model.merge.bias * one
-    errors = np.stack([content - target, target - restored, merged - target])
+    coeffs = _coefficients(model)
+    errors = np.column_stack([coeffs, np.full(3, -1.0)])
     projected = errors @ gram
     l_c, l_r, l_m = (max(float(v), 0.0) for v in (errors * projected).sum(axis=1))
     total = lw.alpha * l_c + lw.lam * l_r + lw.gamma * l_m
-
-    d_c, d_r, d_m = 2.0 * projected
-    adj_m = lw.gamma * d_m
-    adj_c = lw.alpha * d_c + w_content * adj_m
-    adj_r = lw.lam * d_r - w_restored * adj_m
-    grads = np.concatenate(
-        [
-            adj_c[:n],
-            [adj_c[n + 2]],
-            adj_r[n] - adj_r[:n],
-            [adj_r[n + 2]],
-            [adj_m @ content, adj_m @ restored, adj_m[n + 2]],
-        ]
-    )
-    return float(total), grads
+    weights = np.array([[lw.alpha], [lw.lam], [lw.gamma]])
+    return float(total), _chain(model, coeffs, 2.0 * weights * projected[:, : n + 2])
 
 
 # ---------------------------------------------------------------------------

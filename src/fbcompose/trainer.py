@@ -410,6 +410,7 @@ def evaluate(
     Builds the basis per sample, runs the forward pass, clamps the selected
     output and reports PSNR/SSIM per image plus the means.  ``output`` is
     "merged" (default) or "content" (content branch only, for ablations).
+    A per-sample error names the sample.
     """
     if output not in ("merged", "content"):
         raise ValueError(f"output must be 'merged' or 'content', got {output!r}")
@@ -417,9 +418,12 @@ def evaluate(
     bases = _prepare(samples, model.basis_configs, threads, cache)
     rows = []
     for sample, basis in zip(samples, bases):
-        out = forward(model, basis)
-        img = out.merged_image() if output == "merged" else out.content_image()
-        rows.append((sample.sample_id, psnr(img, sample.clean), ssim(img, sample.clean)))
+        try:
+            out = forward(model, basis)
+            img = out.merged_image() if output == "merged" else out.content_image()
+            rows.append((sample.sample_id, psnr(img, sample.clean), ssim(img, sample.clean)))
+        except ValueError as exc:
+            raise ValueError(f"sample {sample.sample_id!r}: {exc}") from exc
     return MetricReport.from_rows(rows)
 
 

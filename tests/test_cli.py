@@ -1,18 +1,24 @@
 import json
+import warnings
 
 import pytest
 
 from fbcompose import (
+    DatasetSpec,
     Median,
+    TrainingConfig,
     bilateral_preset,
     init_model,
+    load_model,
     read_image,
     read_preset,
     save_model,
+    train,
     write_image,
     write_preset,
 )
 from fbcompose.cli import BenchReport, bench, run
+from fbcompose.model import model_to_vector
 
 from synth import synthetic_clean
 
@@ -189,6 +195,46 @@ def test_train_divergence_names_epoch_lr_and_samples(workspace, capsys):
     assert "samples clean.pgm" in err
     assert "branch weights must be finite" in err
     assert not out.exists()
+
+
+def test_train_holds_out_the_manifest_split(workspace):
+    lines = ["split 0.5"]
+    for i in range(4):
+        write_image(synthetic_clean(320 + i, width=16, height=16), workspace / f"c{i}.pgm")
+        lines.append(f"clean c{i}.pgm gaussian 25")
+    manifest = workspace / "split.txt"
+    manifest.write_text("\n".join(lines) + "\n")
+    preset = workspace / "preset.txt"
+    out = workspace / "model.cfmodel"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(
+            [
+                "train", "--preset", str(preset), "--data", str(manifest),
+                "--out", str(out), "--epochs", "4", "--seed", "2",
+            ]
+        )
+    assert rc == 0
+    assert not [w for w in caught if "holds out none" in str(w.message)]
+    expected, _ = train(
+        DatasetSpec.read(manifest).load(2), read_preset(preset),
+        TrainingConfig(epochs=4, seed=2), val_fraction=0.5,
+    )
+    assert model_to_vector(load_model(out)).tobytes() == model_to_vector(expected).tobytes()
+
+
+def test_eval_error_names_the_sample(workspace, capsys):
+    write_image(synthetic_clean(330, width=8, height=8), workspace / "small.pgm")
+    manifest = workspace / "small.txt"
+    manifest.write_text("clean clean.pgm gaussian 25\nclean small.pgm gaussian 25\n")
+    model_path = workspace / "model.cfmodel"
+    save_model(init_model([Median(3, 3), Median(1, 1)]), model_path)
+    csv_path = workspace / "eval.csv"
+    rc = run(["eval", "--model", str(model_path), "--data", str(manifest), "--csv", str(csv_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "sample 'small.pgm': ssim: image 8x8 smaller than the 11x11 window" in err
+    assert not csv_path.exists()
 
 
 def test_apply_corrupted_model_counts_is_exit_2(workspace, capsys):

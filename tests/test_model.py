@@ -387,8 +387,8 @@ def test_gradient_single_pixel_hand_value():
 
 def test_gradients_match_finite_differences_mse():
     rng = np.random.default_rng(91)
-    for n in (1, 2, 3):
-        basis, gt_clean = _synthetic_problem(rng, n, 4, 4)
+    for n, channels in ((1, 1), (2, 1), (3, 1), (9, 1), (4, 3), (9, 3)):
+        basis, gt_clean = _synthetic_problem(rng, n, 4, 4, channels)
         model = _random_model(rng, basis.configs)
         lw = LossWeights()
         loss, grads = gradients(model, basis, gt_clean, lw=lw)
@@ -399,13 +399,14 @@ def test_gradients_match_finite_differences_mse():
 
 def test_gradients_match_finite_differences_l1_tv():
     rng = np.random.default_rng(92)
-    basis, gt_clean = _synthetic_problem(rng, 2, 5, 5)
-    model = _random_model(rng, basis.configs)
-    lw = LossWeights()
-    _, grads = gradients(model, basis, gt_clean, lw=lw, kind="l1_tv", tv_weight=0.1)
-    fd = fd_gradients(model, basis, gt_clean, lw, "l1_tv", 0.1)
-    # Looser bound: |.| kinks limit finite-difference accuracy.
-    assert _relative_error(grads, fd) < 1e-3
+    for n, channels in ((2, 1), (9, 1), (4, 3), (9, 3)):
+        basis, gt_clean = _synthetic_problem(rng, n, 5, 5, channels)
+        model = _random_model(rng, basis.configs)
+        lw = LossWeights()
+        _, grads = gradients(model, basis, gt_clean, lw=lw, kind="l1_tv", tv_weight=0.1)
+        fd = fd_gradients(model, basis, gt_clean, lw, "l1_tv", 0.1)
+        # Looser bound: |.| kinks limit finite-difference accuracy.
+        assert _relative_error(grads, fd) < 1e-3
 
 
 def test_gradients_decouple_with_gamma_zero():
