@@ -198,7 +198,12 @@ def iis_select(scored: Sequence[Candidate], m: int) -> list[FilterConfig]:
 
 @dataclass(frozen=True, eq=False)
 class FilteredBasis:
-    """Ordered stack of filter outputs over one source image."""
+    """Ordered stack of filter outputs over one source image.
+
+    The planes are stacked once, on construction, into one read-only
+    (n, channels, height, width) array, ``tensor()``; each plane is a view
+    into it, so a basis holds one copy of its planes.
+    """
 
     source: Image
     configs: tuple[FilterConfig, ...]
@@ -216,14 +221,19 @@ class FilteredBasis:
                 raise ValueError(
                     f"plane shape {plane.shape} != source shape {self.source.shape}"
                 )
+        stack = np.stack([plane.data for plane in self.planes])
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "planes", tuple(Image._wrap(s) for s in stack))
 
     @property
     def magnitude(self) -> int:
         return len(self.configs)
 
     def tensor(self) -> np.ndarray:
-        """Planes stacked to (n, channels, height, width)."""
-        return np.stack([plane.data for plane in self.planes])
+        """The planes stacked to (n, channels, height, width): one read-only
+        array per basis, returned by every call."""
+        return self._stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,24 +264,33 @@ def build_basis(
 ) -> FilteredBasis:
     """Filter ``source`` under every config; plane order matches config order.
 
-    Planes may be computed concurrently (``threads``); results are assembled
-    in input order, so the output is identical for any thread count.
+    Configs that share a kernel run (``FilterConfig.group``) form one task;
+    each task looks its planes up in ``cache`` and computes only the misses.
+    Tasks may run concurrently (``threads``); results are assembled in input
+    order, so the output is identical for any thread count.
     """
+    configs = tuple(configs)
     if not configs:
         raise ValueError("a filtered basis needs at least one config")
+    groups: dict[object, list[int]] = {}
+    for index, cfg in enumerate(configs):
+        groups.setdefault(cfg.group(), []).append(index)
 
-    def one(cfg: FilterConfig) -> Image:
-        if cache is not None:
-            hit = cache.get(source, cfg)
-            if hit is not None:
-                return hit
-        plane = filters.apply(source, cfg)
-        if cache is not None:
-            cache.put(source, cfg, plane)
-        return plane
+    def one(indices: list[int]) -> dict[int, Image]:
+        found = {i: cache.get(source, configs[i]) for i in indices} if cache is not None else {}
+        misses = [i for i in indices if found.get(i) is None]
+        if misses:
+            cfgs = [configs[i] for i in misses]
+            for i, cfg, plane in zip(misses, cfgs, type(cfgs[0]).apply_group(source, cfgs)):
+                found[i] = plane
+                if cache is not None:
+                    cache.put(source, cfg, plane)
+        return found
 
-    planes = _ordered_map(one, list(configs), threads)
-    return FilteredBasis(source, tuple(configs), tuple(planes))
+    planes: dict[int, Image] = {}
+    for found in _ordered_map(one, list(groups.values()), threads):
+        planes.update(found)
+    return FilteredBasis(source, configs, tuple(planes[i] for i in range(len(configs))))
 
 
 def build_residuals(basis: FilteredBasis) -> ResidualBasis:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import ClassVar
+from dataclasses import dataclass, replace
+from typing import ClassVar, Hashable, Sequence
 
 import numpy as np
 
@@ -44,10 +44,21 @@ class FilterConfig:
     canonical form, ``parse_config`` and ``basis.make_config`` all derive
     from that declaration.  ``apply`` names its kernel as a module global
     looked up per call, so rebinding e.g. ``filters.bilateral`` reaches it.
+
+    Configs whose ``group()`` keys are equal share one kernel run through
+    ``apply_group``; by default every config is its own group.
     """
 
     KIND: ClassVar[str]
     PARAMS: ClassVar[tuple[tuple[str, str, bool], ...]]
+
+    def group(self) -> Hashable:
+        return self
+
+    @classmethod
+    def apply_group(cls, a: Image, cfgs: Sequence["FilterConfig"]) -> list[Image]:
+        """The plane of every config of one group, in order."""
+        return [apply(a, cfg) for cfg in cfgs]
 
     def canonical(self) -> str:
         parts = []
@@ -158,6 +169,15 @@ class RollingGuidance(FilterConfig):
     def apply(self, a: Image) -> Image:
         return rolling_guidance(a, self)
 
+    def group(self) -> Hashable:
+        return replace(self, iterations=0)  # one chain per (sr, ss, k)
+
+    @classmethod
+    def apply_group(cls, a: Image, cfgs: Sequence["RollingGuidance"]) -> list[Image]:
+        """Every iteration count read off one run of the longest chain."""
+        longest = max(cfgs, key=lambda cfg: cfg.iterations)
+        return rolling_guidance(a, longest, at=[cfg.iterations for cfg in cfgs])
+
 
 @dataclass(frozen=True)
 class Gaussian(FilterConfig):
@@ -200,6 +220,9 @@ def parse_config(text: str) -> FilterConfig:
 # being served (``basis.FBCache`` salts its keys with it).
 KERNEL_VERSION = 1
 
+# exp(x) is exactly 0.0 in float64 for every x below about -745.13.
+_EXP_UNDERFLOW = -746.0
+
 
 def gaussian_kernel1d(sigma_spatial: float) -> np.ndarray:
     """Normalized 1-D Gaussian taps with radius ceil(3*sigma)."""
@@ -239,6 +262,10 @@ def joint_bilateral(
     window x window neighborhood of f(spatial distance) * g(range distance)
     * a(q), where f and g are Gaussians of the given sigmas and the range
     distance is the Euclidean distance over guide's channel vector.
+
+    Offsets whose spatial exponent alone lies below exp's underflow point
+    are skipped: their weight is exactly 0, so adding them would change no
+    bit of either sum.
     """
     if a.shape != guide.shape:
         raise ValueError(f"joint_bilateral: image {a.shape} vs guide {guide.shape}")
@@ -249,27 +276,38 @@ def joint_bilateral(
     radius = window // 2
     src = a.data
     ref = guide.data
-    _, height, width = src.shape
+    channels, height, width = src.shape
     pad = ((0, 0), (radius, radius), (radius, radius))
     padded_src = np.pad(src, pad, mode="edge")
-    padded_ref = np.pad(ref, pad, mode="edge")
+    padded_ref = padded_src if guide is a else np.pad(ref, pad, mode="edge")
     inv_ss = 1.0 / (2.0 * sigma_spatial * sigma_spatial)
     inv_sr = 1.0 / (2.0 * sigma_range * sigma_range)
 
     accum = np.zeros_like(src)
     norm = np.zeros((height, width))
+    delta = np.empty_like(src)
+    term = np.empty_like(src)
+    dist2 = np.empty((height, width))
+    weight = np.empty((height, width))
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
+            spatial = -(dy * dy + dx * dx) * inv_ss
+            if spatial < _EXP_UNDERFLOW:
+                continue  # weight is exactly 0 whatever the range term
             rows = slice(radius + dy, radius + dy + height)
             cols = slice(radius + dx, radius + dx + width)
-            values = padded_src[:, rows, cols]
-            shifted_ref = padded_ref[:, rows, cols]
-            delta = shifted_ref - ref
-            dist2 = np.einsum("chw,chw->hw", delta, delta)
-            weight = np.exp(-(dy * dy + dx * dx) * inv_ss - dist2 * inv_sr)
-            accum += weight[np.newaxis] * values
+            np.subtract(padded_ref[:, rows, cols], ref, out=delta)
+            if channels == 1:
+                np.multiply(delta[0], delta[0], out=dist2)
+            else:
+                np.einsum("chw,chw->hw", delta, delta, out=dist2)
+            np.multiply(dist2, inv_sr, out=weight)
+            np.subtract(spatial, weight, out=weight)
+            np.exp(weight, out=weight)
+            np.multiply(weight, padded_src[:, rows, cols], out=term)
+            accum += term
             norm += weight
-    return Image(accum / norm[np.newaxis])
+    return Image(accum / norm)
 
 
 def bilateral(a: Image, sigma_spatial: float, sigma_range: float, window: int) -> Image:
@@ -282,21 +320,32 @@ def median(a: Image, k1: int, k2: int) -> Image:
     _check_odd("k1", k1)
     _check_odd("k2", k2)
     r1, r2 = k1 // 2, k2 // 2
+    _, height, width = a.shape
+    mid = k1 * k2 // 2  # odd window, finite data: the median is one order statistic
     padded = np.pad(a.data, ((0, 0), (r1, r1), (r2, r2)), mode="edge")
     out = np.empty(a.data.shape)
     for c in range(a.channels):  # per channel keeps the window copies small
         windows = np.lib.stride_tricks.sliding_window_view(padded[c], (k1, k2))
-        out[c] = np.median(windows, axis=(2, 3))
+        flat = np.array(windows).reshape(height, width, k1 * k2)
+        flat.partition(mid, axis=-1)
+        out[c] = flat[..., mid]
     return Image(out)
 
 
-def rolling_guidance(a: Image, cfg: RollingGuidance) -> Image:
+def rolling_guidance(
+    a: Image, cfg: RollingGuidance, at: Sequence[int] | None = None
+) -> Image | list[Image]:
     """Gaussian initialization, then `iterations` joint bilateral passes of
-    the input under the evolving guide."""
-    guide = gaussian_blur(a, cfg.sigma_spatial)
+    the input under the evolving guide.
+
+    The passes form one chain, so a shorter chain is a prefix of it: with
+    ``at``, a sequence of counts up to ``cfg.iterations``, the guides after
+    each of those counts are returned, as a list in that order.
+    """
+    chain = [gaussian_blur(a, cfg.sigma_spatial)]
     for _ in range(cfg.iterations):
-        guide = joint_bilateral(a, guide, cfg.sigma_spatial, cfg.sigma_range, cfg.window)
-    return guide
+        chain.append(joint_bilateral(a, chain[-1], cfg.sigma_spatial, cfg.sigma_range, cfg.window))
+    return chain[-1] if at is None else [chain[t] for t in at]
 
 
 def apply(a: Image, cfg: FilterConfig) -> Image:

@@ -53,6 +53,16 @@ class Image:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
+    @classmethod
+    def _wrap(cls, data: np.ndarray) -> "Image":
+        """An Image over ``data`` without a copy.  ``data`` must already hold
+        what the constructor would store: a read-only (channels, height,
+        width) float64 array of grid values, such as a slice of a stack of
+        Image data."""
+        img = object.__new__(cls)
+        object.__setattr__(img, "data", data)
+        return img
+
     @property
     def channels(self) -> int:
         return self.data.shape[0]

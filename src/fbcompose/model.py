@@ -164,12 +164,18 @@ def _coefficients(model: CompositionModel) -> np.ndarray:
     """The model as one linear map: rows content, restored = source -
     residual and merged = w1*content + w2*restored + bm, over the columns
     [p_1..p_n, source, 1]."""
+    n = model.magnitude
     wr = model.residual.weights
-    content = np.concatenate([model.content.weights, [0.0, model.content.bias]])
-    restored = np.concatenate([wr, [1.0 - wr.sum(), -model.residual.bias]])
-    merged = model.merge.w_content * content + model.merge.w_residual_path * restored
+    coeffs = np.empty((3, n + 2))
+    content, restored, merged = coeffs
+    content[:n] = model.content.weights
+    content[n:] = 0.0, model.content.bias
+    restored[:n] = wr
+    restored[n:] = 1.0 - wr.sum(), -model.residual.bias
+    np.multiply(model.merge.w_content, content, out=merged)
+    merged += model.merge.w_residual_path * restored
     merged[-1] += model.merge.bias
-    return np.stack([content, restored, merged])
+    return coeffs
 
 
 def forward(model: CompositionModel, basis: FilteredBasis, residuals=None) -> ForwardOutputs:

@@ -4,11 +4,14 @@ Each function re-derives its definition with explicit per-pixel loops and
 separately evaluated spatial/range kernels.  None of them call the library
 kernels, so agreement is meaningful evidence of correctness.  All operate
 on raw (channels, height, width) float64 arrays with clamp-to-edge borders.
+The bit-identity references at the end are the exception: see there.
 """
 
 import math
 
 import numpy as np
+
+from fbcompose import Image
 
 
 def _clamp(v: int, hi: int) -> int:
@@ -135,3 +138,81 @@ def oracle_ssim(x: np.ndarray, y: np.ndarray, window: int = 11, sigma: float = 1
                 / ((mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2))
             )
     return float(np.mean(values))
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity references: the vectorised kernels as they stood before the
+# joint bilateral loop reused its buffers and skipped underflowing offsets,
+# before the median took one partition, and before rolling-guidance configs
+# shared one chain.  Unlike the oracles above they take and return Images
+# (so outputs are grid-snapped like the library's), and the library must
+# match them bit for bit, not within a tolerance.
+# ---------------------------------------------------------------------------
+
+
+def _reference_correlate_edge(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    radius = taps.size // 2
+    pad = [(0, 0)] * arr.ndim
+    pad[axis] = (radius, radius)
+    padded = np.pad(arr, pad, mode="edge")
+    view = np.lib.stride_tricks.sliding_window_view(padded, taps.size, axis=axis)
+    return view @ taps
+
+
+def reference_gaussian_blur(a: Image, sigma_spatial: float) -> Image:
+    radius = math.ceil(3.0 * sigma_spatial)
+    xs = np.arange(-radius, radius + 1, dtype=np.float64)
+    taps = np.exp(-(xs * xs) / (2.0 * sigma_spatial * sigma_spatial))
+    taps = taps / taps.sum()
+    return Image(_reference_correlate_edge(_reference_correlate_edge(a.data, taps, 2), taps, 1))
+
+
+def reference_joint_bilateral(
+    a: Image, guide: Image, sigma_spatial: float, sigma_range: float, window: int
+) -> Image:
+    """Every offset of the window, each with freshly allocated arrays."""
+    radius = window // 2
+    src = a.data
+    ref = guide.data
+    _, height, width = src.shape
+    pad = ((0, 0), (radius, radius), (radius, radius))
+    padded_src = np.pad(src, pad, mode="edge")
+    padded_ref = np.pad(ref, pad, mode="edge")
+    inv_ss = 1.0 / (2.0 * sigma_spatial * sigma_spatial)
+    inv_sr = 1.0 / (2.0 * sigma_range * sigma_range)
+
+    accum = np.zeros_like(src)
+    norm = np.zeros((height, width))
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            rows = slice(radius + dy, radius + dy + height)
+            cols = slice(radius + dx, radius + dx + width)
+            values = padded_src[:, rows, cols]
+            shifted_ref = padded_ref[:, rows, cols]
+            delta = shifted_ref - ref
+            dist2 = np.einsum("chw,chw->hw", delta, delta)
+            weight = np.exp(-(dy * dy + dx * dx) * inv_ss - dist2 * inv_sr)
+            accum += weight[np.newaxis] * values
+            norm += weight
+    return Image(accum / norm[np.newaxis])
+
+
+def reference_median(a: Image, k1: int, k2: int) -> Image:
+    """``np.median`` over every k1 x k2 window, per channel."""
+    r1, r2 = k1 // 2, k2 // 2
+    padded = np.pad(a.data, ((0, 0), (r1, r1), (r2, r2)), mode="edge")
+    out = np.empty(a.data.shape)
+    for c in range(a.channels):
+        windows = np.lib.stride_tricks.sliding_window_view(padded[c], (k1, k2))
+        out[c] = np.median(windows, axis=(2, 3))
+    return Image(out)
+
+
+def reference_rolling_guidance(
+    a: Image, sigma_range: float, sigma_spatial: float, window: int, iterations: int
+) -> Image:
+    """One whole chain per config: Gaussian start, then the joint passes."""
+    guide = reference_gaussian_blur(a, sigma_spatial)
+    for _ in range(iterations):
+        guide = reference_joint_bilateral(a, guide, sigma_spatial, sigma_range, window)
+    return guide

@@ -7,6 +7,7 @@ from fbcompose import (
     Bilateral,
     Candidate,
     FBCache,
+    FilteredBasis,
     Gaussian,
     Image,
     Median,
@@ -283,6 +284,19 @@ def test_build_basis_preserves_order_and_shape():
     assert basis.configs == tuple(configs)
     assert all(plane.shape == img.shape for plane in basis.planes)
     assert basis.tensor().shape == (3, 1, 10, 10)
+
+
+def test_basis_holds_one_read_only_stack():
+    img = synthetic_clean(70, width=9, height=7, channels=3)
+    planes = [median(img, 3, 3), median(img, 1, 3)]
+    basis = FilteredBasis(img, (Median(3, 3), Median(1, 3)), tuple(planes))
+    stack = basis.tensor()
+    assert stack is basis.tensor()
+    assert stack.shape == (2, 3, 7, 9) and not stack.flags.writeable
+    for i, (given, plane) in enumerate(zip(planes, basis.planes)):
+        assert plane == given
+        assert np.shares_memory(plane.data, stack) and np.array_equal(stack[i], given.data)
+        assert not plane.data.flags.writeable
 
 
 def test_build_basis_constant_source_gives_constant_planes():

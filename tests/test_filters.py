@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbcompose import (
     Bilateral,
@@ -68,6 +69,28 @@ def test_canonical_round_trip(text, expected):
 def test_canonical_preserves_full_float_precision():
     cfg = Bilateral(0.30000000000000004, 1.1, 15)
     assert parse_config(cfg.canonical()) == cfg
+
+
+@st.composite
+def _any_config(draw):
+    """A valid config of any declared kind: positive finite floats, odd ints."""
+    cls = KINDS[draw(st.sampled_from(sorted(KINDS)))]
+    values = [
+        draw(st.integers(0, 10**6).map(lambda k: 2 * k + 1))
+        if is_int
+        else draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+        for _, _, is_int in cls.PARAMS
+    ]
+    return cls(*values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_any_config())
+def test_canonical_round_trip_property(cfg):
+    text = cfg.canonical()
+    parsed = parse_config(text)
+    assert parsed == cfg and type(parsed) is type(cfg)
+    assert parsed.canonical() == text
 
 
 @pytest.mark.parametrize(

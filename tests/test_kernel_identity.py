@@ -1,0 +1,183 @@
+"""The fast exact kernels against their previous forms, bit for bit, and the
+call pattern that per-kernel tracing relies on.
+
+Every plane of the three shipped presets must equal the reference kernels of
+``oracles`` exactly (``np.array_equal``), alone and through ``build_basis``
+with any thread count and a partly filled plane cache.
+"""
+
+import threading
+
+import numpy as np
+import pytest
+
+from fbcompose import FBCache, Image, build_basis, filters
+from fbcompose.basis import BUILTIN_PRESETS
+from fbcompose.filters import Bilateral, Median, RollingGuidance
+
+from oracles import (
+    reference_joint_bilateral,
+    reference_median,
+    reference_rolling_guidance,
+)
+from synth import synthetic_clean
+
+
+def _reference(img: Image, cfg) -> Image:
+    if isinstance(cfg, Bilateral):
+        return reference_joint_bilateral(img, img, cfg.sigma_spatial, cfg.sigma_range, cfg.window)
+    if isinstance(cfg, Median):
+        return reference_median(img, cfg.k1, cfg.k2)
+    assert isinstance(cfg, RollingGuidance)
+    return reference_rolling_guidance(
+        img, cfg.sigma_range, cfg.sigma_spatial, cfg.window, cfg.iterations
+    )
+
+
+def _images():
+    rng = np.random.default_rng(20)
+    return {
+        "gray": Image(rng.random((1, 23, 19))),
+        "colour": synthetic_clean(21, width=17, height=14, channels=3),
+    }
+
+
+@pytest.mark.parametrize("preset", sorted(BUILTIN_PRESETS))
+@pytest.mark.parametrize("image", ["gray", "colour"])
+def test_preset_planes_equal_previous_kernels(preset, image):
+    img = _images()[image]
+    configs = BUILTIN_PRESETS[preset]()
+    basis = build_basis(img, configs)
+    for cfg, plane in zip(configs, basis.planes):
+        expected = _reference(img, cfg).data
+        assert np.array_equal(filters.apply(img, cfg).data, expected), cfg.canonical()
+        assert np.array_equal(plane.data, expected), cfg.canonical()
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_joint_bilateral_with_separate_guide_equals_previous_kernel(channels):
+    rng = np.random.default_rng(22 + channels)
+    img = Image(rng.random((channels, 16, 21)))
+    guide = Image(rng.random((channels, 16, 21)))
+    # ss=0.1 skips most offsets of the 15x15 window; ss=3 skips none.
+    for ss, sr, window in ((0.1, 0.5, 15), (3.0, 0.2, 9), (0.7, 3.5, 5)):
+        got = filters.joint_bilateral(img, guide, ss, sr, window)
+        want = reference_joint_bilateral(img, guide, ss, sr, window)
+        assert np.array_equal(got.data, want.data), (ss, sr, window)
+
+
+def test_rolling_guidance_prefixes_equal_whole_chains():
+    img = _images()["gray"]
+    longest = RollingGuidance(0.5, 3.0, 9, 4)
+    prefixes = filters.rolling_guidance(img, longest, at=[4, 0, 2, 1])
+    for t, got in zip([4, 0, 2, 1], prefixes):
+        want = reference_rolling_guidance(img, 0.5, 3.0, 9, t)
+        assert np.array_equal(got.data, want.data), t
+    assert filters.rolling_guidance(img, longest) == prefixes[0]
+
+
+def _mixed_configs():
+    """rgf8 with bilateral and median configs between its chains."""
+    bil = BUILTIN_PRESETS["bilateral9"]()
+    med = BUILTIN_PRESETS["median8"]()
+    rgf = BUILTIN_PRESETS["rgf8"]()
+    return [rgf[0], bil[0], med[0], rgf[3], rgf[1], med[5], bil[4], rgf[2], *rgf[4:], bil[8]]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_build_basis_with_partial_cache_equals_previous_kernels(tmp_path, threads, monkeypatch):
+    img = synthetic_clean(23, width=20, height=17)
+    configs = _mixed_configs()
+    cache = FBCache(tmp_path / "cache")
+    t2 = RollingGuidance(0.2, 3.0, 9, 2)  # cached; its t=4 chain is not
+    assert t2 in configs and RollingGuidance(0.2, 3.0, 9, 4) in configs
+    for cfg in (t2, configs[1], configs[2]):
+        cache.put(img, cfg, _reference(img, cfg))
+
+    joint_calls = []
+    real_joint = filters.joint_bilateral
+
+    def counting_joint(*args, **kwargs):
+        joint_calls.append(args[2:])
+        return real_joint(*args, **kwargs)
+
+    monkeypatch.setattr(filters, "joint_bilateral", counting_joint)
+    basis = build_basis(img, configs, threads=threads, cache=cache)
+    for cfg, plane in zip(configs, basis.planes):
+        assert np.array_equal(plane.data, _reference(img, cfg).data), cfg.canonical()
+        assert cache.get(img, cfg) == plane
+    # The (sr=0.2, ss=3) chain runs once, to t=4, even with its t=2 cached;
+    # the three other chains run once each; bilateral configs add one call each.
+    rgf_calls = [c for c in joint_calls if c == (3.0, 0.2, 9)]
+    assert len(rgf_calls) == 4
+    assert len(joint_calls) == 4 * 4 + 2  # two bilateral configs missed
+    monkeypatch.undo()
+
+    again = build_basis(img, configs, threads=3 - threads, cache=FBCache(tmp_path / "cold"))
+    assert all(a == b for a, b in zip(again.planes, basis.planes))
+
+
+# ---------------------------------------------------------------------------
+# What span tracing relies on: kernels reached through module globals
+# ---------------------------------------------------------------------------
+
+
+class _Recorder:
+    """Rebinds the kernel globals of ``filters`` with call counters, the way
+    an external tracer wraps them, and notes each call's enclosing kernel."""
+
+    NAMES = ("bilateral", "joint_bilateral", "median", "rolling_guidance", "gaussian_blur")
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        for name in self.NAMES:
+            monkeypatch.setattr(filters, name, self._wrap(name, getattr(filters, name)))
+
+    def _wrap(self, name, fn):
+        def wrapper(*args, **kwargs):
+            stack = self._local.__dict__.setdefault("stack", [])
+            with self._lock:
+                self.calls.append((name, tuple(stack), args, kwargs))
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        return wrapper
+
+    def named(self, name):
+        return [call for call in self.calls if call[0] == name]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_build_basis_calls_traced_kernels_once_per_config(monkeypatch, threads):
+    img = synthetic_clean(24, width=12, height=10)
+    recorder = _Recorder(monkeypatch)
+
+    configs = BUILTIN_PRESETS["bilateral9"]()
+    build_basis(img, configs, threads=threads)
+    calls = recorder.named("bilateral")
+    assert len(calls) == len(configs)
+    expected = {(cfg.sigma_spatial, cfg.sigma_range, cfg.window) for cfg in configs}
+    assert {call[2][1:] for call in calls} == expected
+    assert all(call[2][0] is img and not call[3] and not call[1] for call in calls)
+
+    recorder.calls.clear()
+    configs = BUILTIN_PRESETS["median8"]()
+    build_basis(img, configs, threads=threads)
+    calls = recorder.named("median")
+    assert sorted(call[2][1:] for call in calls) == sorted((c.k1, c.k2) for c in configs)
+    assert all(call[2][0] is img and not call[3] and not call[1] for call in calls)
+    assert len(recorder.calls) == len(configs)
+
+    recorder.calls.clear()
+    build_basis(img, BUILTIN_PRESETS["rgf8"](), threads=threads)
+    assert len(recorder.named("rolling_guidance")) == 4
+    assert len(recorder.named("joint_bilateral")) == 16
+    assert len(recorder.named("gaussian_blur")) == 4
+    assert len(recorder.calls) == 24
+    for name, enclosing, _, _ in recorder.calls:
+        assert enclosing == (() if name == "rolling_guidance" else ("rolling_guidance",))
