@@ -68,20 +68,23 @@ class ParamRange:
 def make_config(kind: str, params: Mapping[str, float]) -> FilterConfig:
     """Build a FilterConfig from canonical short parameter names.
 
-    Integer parameters accept grid values within 1e-9 of an integer; extra
-    names are ignored.
+    Integer parameters accept grid values within 1e-9 of an integer; a name
+    the kind does not declare is an error.
     """
     kind = kind.lower()
     if kind not in filters.KINDS:
         raise ValueError(f"unknown filter kind {kind!r}")
     cls = filters.KINDS[kind]
+    for name in params:
+        if name not in {short for short, _, _ in cls.PARAMS}:
+            raise ValueError(f"unknown parameter {name!r} for filter kind {kind!r}")
     values = []
     for short, _, is_int in cls.PARAMS:
         if short not in params:
             raise ValueError(f"missing parameter {short!r} for filter kind {kind!r}")
         value = float(params[short])
         if is_int:
-            if abs(value - round(value)) > 1e-9:
+            if not np.isfinite(value) or abs(value - round(value)) > 1e-9:
                 raise ValueError(f"parameter {short!r} must be an integer, got {value}")
             value = int(round(value))
         values.append(value)
@@ -133,12 +136,25 @@ def _ordered_map(fn: Callable, items: list, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _by_group(fn: Callable, configs: Sequence[FilterConfig], threads: int) -> list:
+    """Map ``fn`` over the index lists of configs sharing a ``FilterConfig.group``
+    (first-seen order) and merge its {index: result} dicts into config order."""
+    groups: dict[object, list[int]] = {}
+    for index, cfg in enumerate(configs):
+        groups.setdefault(cfg.group(), []).append(index)
+    results: dict[int, object] = {}
+    for found in _ordered_map(fn, list(groups.values()), threads):
+        results.update(found)
+    return [results[i] for i in range(len(configs))]
+
+
 def calibrate(
     candidates: Sequence[FilterConfig],
     calib_pairs: Sequence[tuple[Image, Image]],
     threads: int = 1,
 ) -> list[Candidate]:
-    """Score each candidate by mean PSNR of apply(degraded, cfg) vs clean.
+    """Score each candidate by mean PSNR of apply(degraded, cfg) vs clean;
+    candidates that share a kernel run are scored from one basis per pair.
 
     Returns candidates sorted ascending by score; ties keep input order.
     """
@@ -147,14 +163,19 @@ def calibrate(
     if not calib_pairs:
         raise ValueError("no calibration pairs")
 
-    def score_one(cfg: FilterConfig) -> float:
+    def score_group(indices: list[int]) -> dict[int, float]:
+        group = [candidates[i] for i in indices]
         try:
-            values = [psnr(filters.apply(degraded, cfg), clean) for degraded, clean in calib_pairs]
+            per_pair = [
+                [psnr(plane, clean) for plane in build_basis(degraded, group).planes]
+                for degraded, clean in calib_pairs
+            ]
         except Exception as exc:
-            raise CalibrationError(f"calibration failed for {cfg.canonical()}: {exc}") from exc
-        return float(np.mean(values))
+            names = "; ".join(cfg.canonical() for cfg in group)
+            raise CalibrationError(f"calibration failed for {names}: {exc}") from exc
+        return {i: float(np.mean(values)) for i, values in zip(indices, zip(*per_pair))}
 
-    scores = _ordered_map(score_one, list(candidates), threads)
+    scores = _by_group(score_group, candidates, threads)
     ranked = [Candidate(cfg, score) for cfg, score in zip(candidates, scores)]
     ranked.sort(key=lambda cand: cand.score)
     return ranked
@@ -270,11 +291,6 @@ def build_basis(
     order, so the output is identical for any thread count.
     """
     configs = tuple(configs)
-    if not configs:
-        raise ValueError("a filtered basis needs at least one config")
-    groups: dict[object, list[int]] = {}
-    for index, cfg in enumerate(configs):
-        groups.setdefault(cfg.group(), []).append(index)
 
     def one(indices: list[int]) -> dict[int, Image]:
         found = {i: cache.get(source, configs[i]) for i in indices} if cache is not None else {}
@@ -287,10 +303,7 @@ def build_basis(
                     cache.put(source, cfg, plane)
         return found
 
-    planes: dict[int, Image] = {}
-    for found in _ordered_map(one, list(groups.values()), threads):
-        planes.update(found)
-    return FilteredBasis(source, configs, tuple(planes[i] for i in range(len(configs))))
+    return FilteredBasis(source, configs, tuple(_by_group(one, configs, threads)))
 
 
 def build_residuals(basis: FilteredBasis) -> ResidualBasis:

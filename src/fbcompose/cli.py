@@ -194,8 +194,15 @@ def _parse_grid(spec: str):
 
 
 def _cmd_calibrate(args) -> int:
-    kind, ranges, counts, fixed = _parse_grid(args.grid)
-    candidates = dis_grid(kind, ranges, counts, fixed)
+    try:
+        candidates = dis_grid(*_parse_grid(args.grid))
+    except ValueError as exc:
+        raise _UsageError(f"calibrate: --grid: {exc}") from exc
+    if not 1 <= args.select <= len(candidates):
+        raise _UsageError(
+            f"calibrate: --select must lie in [1, {len(candidates)}] for this grid, "
+            f"got {args.select}"
+        )
     samples = _load_dataset(args.pairs, args.seed)
     pairs = [(s.degraded, s.clean) for s in samples]
     scored = calibrate(candidates, pairs, threads=args.threads)
@@ -310,7 +317,9 @@ class BenchReport:
     @property
     def linearity_ratio(self) -> float:
         """Serial basis time over magnitude * mean single-filter time; near
-        1.0 when basis cost is linear in the number of configs."""
+        1.0 when basis cost is linear in the number of configs.  Kinds whose
+        configs share one kernel run (``FilterConfig.group``), such as rgf,
+        read below 1."""
         mean_single = statistics.fmean(t for _, t in self.single_seconds)
         return self.fb_serial_seconds / (self.magnitude * mean_single)
 

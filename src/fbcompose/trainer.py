@@ -227,8 +227,11 @@ class DatasetSpec:
 
 
 def split_validation(samples: Sequence[Sample], val_fraction: float) -> tuple[list, list]:
-    """Hold out the trailing fraction.  When that rounds to no sample (tiny
-    datasets), warn and validate on the training set itself."""
+    """Hold out the trailing fraction, which must lie in [0, 1).  When that
+    rounds to no sample (tiny datasets), warn and validate on the training
+    set itself."""
+    if not 0.0 <= val_fraction < 1.0:
+        raise ValueError(f"val_fraction must lie in [0, 1), got {val_fraction!r}")
     samples = list(samples)
     n_val = min(int(len(samples) * val_fraction), len(samples) - 1)
     if n_val <= 0:

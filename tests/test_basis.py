@@ -12,6 +12,7 @@ from fbcompose import (
     Image,
     Median,
     RollingGuidance,
+    add_gaussian_noise,
     add_impulse_noise,
     bilateral_candidate_grid,
     bilateral_preset,
@@ -24,10 +25,12 @@ from fbcompose import (
     median,
     median_preset,
     parse_config,
+    psnr,
     read_preset,
     rgf_preset,
     write_preset,
 )
+from fbcompose import filters
 from fbcompose.basis import CalibrationError, ParamRange, write_calibration_report
 from fbcompose.filters import KINDS
 
@@ -117,12 +120,15 @@ def test_make_config_errors():
             with pytest.raises(ValueError, match=repr(short)):
                 make_config(kind, missing)
             if is_int:
-                with pytest.raises(ValueError, match="must be an integer"):
-                    make_config(kind, {**params, short: 3.5})
+                for bad in (3.5, float("inf"), float("nan")):
+                    with pytest.raises(ValueError, match=f"{short!r} must be an integer"):
+                        make_config(kind, {**params, short: bad})
                 # Grid values within 1e-9 of an integer snap to it.
                 assert make_config(kind, {**params, short: 3.0 + 1e-10}) == cls(
                     *params.values()
                 )
+        with pytest.raises(ValueError, match="unknown parameter 'kk'"):
+            make_config(kind, {**params, "kk": 3.0})
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +173,43 @@ def test_calibrate_names_offending_config_on_failure():
     with pytest.raises(CalibrationError) as err:
         calibrate([Median(3, 3)], [(a, wrong)])
     assert "median:3x3" in str(err.value)
+    # Configs scored from one kernel run fail together, and all are named.
+    chain = [RollingGuidance(0.2, 1.0, 3, 1), RollingGuidance(0.2, 1.0, 3, 2)]
+    with pytest.raises(CalibrationError) as err:
+        calibrate(chain, [(a, a), (a, wrong)])
+    assert all(cfg.canonical() in str(err.value) for cfg in chain)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_calibrate_mixed_grid_equals_per_config_reference(threads):
+    clean_a = synthetic_clean(66, width=14, height=12)
+    clean_b = synthetic_clean(67, width=14, height=12)
+    pairs = [
+        (add_gaussian_noise(clean_a, 25, seed=1), clean_a),
+        (add_impulse_noise(clean_b, 0.1, seed=2), clean_b),
+    ]
+
+    def rgf(sr, t):
+        return RollingGuidance(sr, 2.0, 5, t)
+
+    # Two rgf chains interleaved with other kinds; Median(3, 3) twice ties
+    # with itself, and rgf t=0 is Gaussian(2.0)'s plane, a tie of two
+    # distinct configs that must keep input order.
+    candidates = [
+        rgf(0.2, 3), Median(3, 3), rgf(0.5, 1), Gaussian(2.0), rgf(0.2, 1), Median(3, 5),
+        rgf(0.5, 4), rgf(0.2, 0), rgf(0.2, 4), rgf(0.5, 2), Median(3, 3), rgf(0.2, 2),
+        rgf(0.5, 3),
+    ]
+    expected = [
+        Candidate(cfg, float(np.mean([psnr(filters.apply(d, cfg), c) for d, c in pairs])))
+        for cfg in candidates
+    ]
+    expected.sort(key=lambda cand: cand.score)
+    scored = calibrate(candidates, pairs, threads=threads)
+    assert [cand.config for cand in scored] == [cand.config for cand in expected]
+    assert [cand.score for cand in scored] == [cand.score for cand in expected]
+    ties = [cand.config for cand in scored if cand.config in (Gaussian(2.0), rgf(0.2, 0))]
+    assert ties == [Gaussian(2.0), rgf(0.2, 0)]
 
 
 def test_calibrate_rejects_empty_inputs():

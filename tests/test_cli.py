@@ -385,6 +385,35 @@ def test_rejected_recipe_flag_is_usage_error(workspace, capsys, args, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--select", "0"], "--select"),
+        (["--select", "10"], "--select"),  # the grid has 9 candidates
+        (["--grid", "median"], "--grid"),
+        (["--grid", "median:k1=1|3,k2"], "--grid"),
+        (["--grid", "median:k1=1|x,k2=3"], "--grid"),
+        (["--grid", "median:k1=1|3,k2=3,kk=3"], "--grid"),
+        (["--grid", "rgf:sr=0.1,ss=2,k=inf,t=1"], "--grid"),
+        (["--grid", "rgf:sr=0.1,ss=2,k=9,t=nan"], "--grid"),
+        (["--grid", "bilateral:ss=0.1:1.1:0,sr=1,k=5"], "--grid"),
+        (["--grid", "nope:x=1"], "--grid"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_rejected_calibrate_flag_is_usage_error(workspace, capsys, args, flag):
+    # The pairs manifest does not exist: the flags are checked before it is read.
+    out = workspace / "out.txt"
+    report = workspace / "report.csv"
+    argv = [
+        "calibrate", "--grid", "median:k1=1|3|5,k2=1|3|5", "--select", "3",
+        "--pairs", str(workspace / "missing.txt"), "--out", str(out), "--report", str(report),
+    ]
+    assert run(argv + args) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
+
+
 def test_help_exits_zero():
     assert run(["--help"]) == 0
     assert run(["train", "--help"]) == 0

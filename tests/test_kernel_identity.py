@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from fbcompose import FBCache, Image, build_basis, filters
+from fbcompose import FBCache, Image, build_basis, calibrate, filters
 from fbcompose.basis import BUILTIN_PRESETS
 from fbcompose.filters import Bilateral, Median, RollingGuidance
 
@@ -181,3 +181,17 @@ def test_build_basis_calls_traced_kernels_once_per_config(monkeypatch, threads):
     assert len(recorder.calls) == 24
     for name, enclosing, _, _ in recorder.calls:
         assert enclosing == (() if name == "rolling_guidance" else ("rolling_guidance",))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_calibrate_runs_each_rgf_chain_once_per_pair(monkeypatch, threads):
+    img = synthetic_clean(25, width=12, height=10)
+    candidates = [
+        RollingGuidance(sr, ss, 9, t)
+        for sr in (0.1, 0.2, 0.5) for ss in (2.0, 3.0) for t in (1, 2, 3, 4)
+    ]
+    recorder = _Recorder(monkeypatch)
+    calibrate(candidates, [(img, img)], threads=threads)
+    assert len(recorder.named("joint_bilateral")) == 24
+    assert len(recorder.named("rolling_guidance")) == 6
+    assert len(recorder.named("gaussian_blur")) == 6

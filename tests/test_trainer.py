@@ -258,6 +258,17 @@ def test_split_validation_behavior():
     assert train_part == samples[:3] and val_part == samples[:3]
 
 
+@pytest.mark.parametrize("fraction", [1.0, 1.5, -0.5, float("nan"), float("inf")])
+def test_split_validation_rejects_fraction_outside_unit_interval(fraction):
+    samples = _identity_suite(10, size=8)
+    with pytest.raises(ValueError, match="val_fraction"):
+        split_validation(samples, fraction)
+    with pytest.raises(ValueError, match="val_fraction"):
+        train(samples, [Median(1, 1)], val_fraction=fraction)
+    with pytest.raises(ValueError, match="val_fraction"):
+        ablate_residual(samples, [Median(1, 1)], val_fraction=fraction)
+
+
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
