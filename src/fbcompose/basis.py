@@ -24,7 +24,7 @@ import numpy as np
 
 from . import filters
 from .filters import FilterConfig, parse_config
-from .image import Image
+from .image import Image, snap_unit
 from .metrics import psnr
 
 
@@ -216,14 +216,16 @@ def iis_select(scored: Sequence[Candidate], m: int) -> list[FilterConfig]:
 # Basis stacks
 # ---------------------------------------------------------------------------
 
+_NO_CONFIGS = "a filtered basis needs at least one config"
+
 
 @dataclass(frozen=True, eq=False)
 class FilteredBasis:
     """Ordered stack of filter outputs over one source image.
 
-    The planes are stacked once, on construction, into one read-only
-    (n, channels, height, width) array, ``tensor()``; each plane is a view
-    into it, so a basis holds one copy of its planes.
+    The planes live in one read-only (n, channels, height, width) array,
+    ``tensor()``, which this constructor stacks and ``build_basis`` fills in
+    place; each plane is a view into it, so a basis holds one copy of them.
     """
 
     source: Image
@@ -232,20 +234,29 @@ class FilteredBasis:
 
     def __post_init__(self):
         if not self.configs:
-            raise ValueError("a filtered basis needs at least one config")
+            raise ValueError(_NO_CONFIGS)
         if len(self.configs) != len(self.planes):
-            raise ValueError(
-                f"{len(self.configs)} configs vs {len(self.planes)} planes"
-            )
+            raise ValueError(f"{len(self.configs)} configs vs {len(self.planes)} planes")
         for plane in self.planes:
             if plane.shape != self.source.shape:
                 raise ValueError(
                     f"plane shape {plane.shape} != source shape {self.source.shape}"
                 )
-        stack = np.stack([plane.data for plane in self.planes])
+        self._hold(np.stack([plane.data for plane in self.planes]))
+
+    @classmethod
+    def _over(cls, source: Image, configs: tuple, stack: np.ndarray) -> "FilteredBasis":
+        """A basis over a filled (n, *source.shape) stack of grid values, not copied."""
+        if not configs:
+            raise ValueError(_NO_CONFIGS)
+        basis = object.__new__(cls)
+        basis.__dict__.update(source=source, configs=configs)
+        basis._hold(stack)
+        return basis
+
+    def _hold(self, stack: np.ndarray) -> None:
         stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "planes", tuple(Image._wrap(s) for s in stack))
+        self.__dict__.update(_stack=stack, planes=tuple(Image._wrap(s) for s in stack))
 
     @property
     def magnitude(self) -> int:
@@ -286,24 +297,27 @@ def build_basis(
     """Filter ``source`` under every config; plane order matches config order.
 
     Configs that share a kernel run (``FilterConfig.group``) form one task;
-    each task looks its planes up in ``cache`` and computes only the misses.
-    Tasks may run concurrently (``threads``); results are assembled in input
-    order, so the output is identical for any thread count.
+    each task snaps its ``cache`` hits into their slots of the basis array
+    and computes only the misses.  Tasks may run concurrently (``threads``);
+    they fill disjoint slots, so the output is identical for any thread count.
     """
     configs = tuple(configs)
+    stack = np.empty((len(configs), *source.shape))
 
-    def one(indices: list[int]) -> dict[int, Image]:
-        found = {i: cache.get(source, configs[i]) for i in indices} if cache is not None else {}
-        misses = [i for i in indices if found.get(i) is None]
+    def one(indices: list[int]) -> dict[int, None]:
+        misses = [
+            i for i in indices if cache is None or cache.get(source, configs[i], stack[i]) is None
+        ]
         if misses:
             cfgs = [configs[i] for i in misses]
             for i, cfg, plane in zip(misses, cfgs, type(cfgs[0]).apply_group(source, cfgs)):
-                found[i] = plane
+                stack[i] = plane.data
                 if cache is not None:
                     cache.put(source, cfg, plane)
-        return found
+        return dict.fromkeys(indices)  # the planes are already in their slots
 
-    return FilteredBasis(source, configs, tuple(_by_group(one, configs, threads)))
+    _by_group(one, configs, threads)
+    return FilteredBasis._over(source, configs, stack)
 
 
 def build_residuals(basis: FilteredBasis) -> ResidualBasis:
@@ -421,11 +435,11 @@ class FBCache:
     """Content-addressed plane cache: one ``.npy`` file per (source, config).
 
     Layout: ``<root>/<sha256(image)[:16]>/<sha256(config)[:16]>.npy``.  The
-    image key hashes the raw float64 bytes plus dimensions, the config key
-    the canonical form salted with ``filters.KERNEL_VERSION``, so a change
-    to source, config or kernel version misses cleanly.  Planes are stored
-    losslessly; the 8-bit file formats would quantize them and make cached
-    and fresh runs diverge.
+    image key hashes the raw float64 bytes plus dimensions (once per Image),
+    the config key the canonical form salted with ``filters.KERNEL_VERSION``,
+    so a change to source, config or kernel version misses cleanly.  Planes
+    are stored losslessly; the 8-bit file formats would quantize them and
+    make cached and fresh runs diverge.
     """
 
     def __init__(self, root) -> None:
@@ -433,31 +447,28 @@ class FBCache:
         self.root.mkdir(parents=True, exist_ok=True)
 
     @staticmethod
-    def _image_key(img: Image) -> str:
-        digest = hashlib.sha256()
-        digest.update(repr(img.shape).encode())
-        digest.update(img.data.tobytes())
-        return digest.hexdigest()[:16]
-
-    @staticmethod
     def _config_key(cfg: FilterConfig) -> str:
         salted = f"kernels/{filters.KERNEL_VERSION}:{cfg.canonical()}"
         return hashlib.sha256(salted.encode()).hexdigest()[:16]
 
     def path_for(self, img: Image, cfg: FilterConfig) -> Path:
-        return self.root / self._image_key(img) / (self._config_key(cfg) + ".npy")
+        return self.root / img._digest[:16] / (self._config_key(cfg) + ".npy")
 
-    def get(self, img: Image, cfg: FilterConfig) -> Image | None:
+    def get(self, img: Image, cfg: FilterConfig, out: np.ndarray | None = None) -> Image | None:
+        """The stored plane, or None if no readable file of ``img``'s shape is there.
+        A hit is checked finite and snapped as Image snaps, into ``out`` or a new array."""
         path = self.path_for(img, cfg)
-        if not path.exists():
-            return None
         try:
             arr = np.load(path)
         except (OSError, ValueError):
             return None
         if arr.shape != img.shape:
             return None
-        return Image(arr)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"cache file {path}: image data must be finite")
+        plane = snap_unit(arr, out=out)
+        plane.setflags(write=False)
+        return Image._wrap(plane)
 
     def put(self, img: Image, cfg: FilterConfig, plane: Image) -> None:
         path = self.path_for(img, cfg)

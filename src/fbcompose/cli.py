@@ -173,6 +173,12 @@ def _parse_grid(spec: str):
     ranges: list[ParamRange] = []
     counts: list[int] = []
     fixed: dict[str, float] = {}
+
+    def number(text: str, parse=float):
+        try:
+            return parse(text)
+        except ValueError:
+            raise ValueError(f"bad number {text!r} for {name!r} in grid part {part!r}") from None
     for part in body.split(","):
         name, eq, value = part.partition("=")
         if not eq:
@@ -180,16 +186,16 @@ def _parse_grid(spec: str):
         name = name.strip()
         value = value.strip()
         if "|" in value:
-            ranges.append(ParamRange.discrete(name, [float(v) for v in value.split("|")]))
+            ranges.append(ParamRange.discrete(name, [number(v) for v in value.split("|")]))
             counts.append(1)
         elif ":" in value:
             fields = value.split(":")
             if len(fields) != 3:
                 raise ValueError(f"bad grid range {part!r}: expected lo:hi:count")
-            ranges.append(ParamRange.continuous(name, float(fields[0]), float(fields[1])))
-            counts.append(int(fields[2]))
+            ranges.append(ParamRange.continuous(name, number(fields[0]), number(fields[1])))
+            counts.append(number(fields[2], int))
         else:
-            fixed[name] = float(value)
+            fixed[name] = number(value)
     return kind, ranges, counts, fixed
 
 

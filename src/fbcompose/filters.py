@@ -26,8 +26,8 @@ def _fmt_num(x: float) -> str:
 
 
 def _check_sigma(name: str, value: float) -> None:
-    if not (value > 0):
-        raise ValueError(f"{name} must be > 0, got {value}")
+    if not (0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def _check_odd(name: str, value: int) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +18,12 @@ GRID_BITS = 48
 _GRID_SCALE = float(1 << GRID_BITS)
 
 
-def snap_unit(values) -> np.ndarray:
-    """Clamp to [0, 1] and round to the nearest intensity grid point."""
-    arr = np.asarray(values, dtype=np.float64)
-    arr = np.clip(arr, 0.0, 1.0)
-    return np.rint(arr * _GRID_SCALE) / _GRID_SCALE
+def snap_unit(values, out: np.ndarray | None = None) -> np.ndarray:
+    """Clamp to [0, 1] and round to the nearest intensity grid point, into one
+    new array or into ``out`` (float64, same shape); ``values`` is not written."""
+    arr = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0, out=out)
+    np.rint(np.multiply(arr, _GRID_SCALE, out=arr), out=arr)
+    return np.divide(arr, _GRID_SCALE, out=arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +65,11 @@ class Image:
         img = object.__new__(cls)
         object.__setattr__(img, "data", data)
         return img
+
+    @functools.cached_property
+    def _digest(self) -> str:
+        """sha256 hex digest of the shape and raw bytes, taken once: the data is frozen."""
+        return hashlib.sha256(repr(self.shape).encode() + self.data.tobytes()).hexdigest()
 
     @property
     def channels(self) -> int:

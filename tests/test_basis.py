@@ -524,6 +524,131 @@ def test_fb_cache_recomputes_when_file_removed(tmp_path):
     assert again.planes[0] == basis.planes[0]
 
 
+def _mixed_configs():
+    return [
+        Median(3, 3), Gaussian(1.0), Bilateral(0.8, 0.4, 5), Median(3, 5),
+        RollingGuidance(0.3, 1.0, 3, 1), RollingGuidance(0.3, 1.0, 3, 2),
+    ]
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fb_cache_warm_equals_cold_bitwise(tmp_path, channels, threads):
+    img = synthetic_clean(78, width=13, height=11, channels=channels)
+    configs = _mixed_configs()
+    cold = build_basis(img, configs, threads=threads).tensor()
+    cache = FBCache(tmp_path / "cache")
+    build_basis(img, configs[1::2], cache=cache)  # a partly filled cache
+    for _ in range(2):  # partly warm, then fully warm
+        source = Image(img.data)  # a fresh instance, as a new command reads it
+        basis = build_basis(source, configs, threads=threads, cache=cache)
+        assert basis.tensor().tobytes() == cold.tobytes()
+    for cfg, plane in zip(configs, basis.planes):
+        assert np.load(cache.path_for(img, cfg)).tobytes() == plane.data.tobytes()
+
+
+def test_fb_cache_warm_basis_is_one_read_only_stack(tmp_path):
+    img = synthetic_clean(79, width=9, height=7, channels=3)
+    configs = [Median(3, 3), Gaussian(1.0), Median(1, 3)]
+    cache = FBCache(tmp_path / "cache")
+    for _ in range(2):  # cold, then warm
+        basis = build_basis(img, configs, cache=cache)
+        stack = basis.tensor()
+        assert stack is basis.tensor() and not stack.flags.writeable
+        assert stack.shape == (3, 3, 7, 9)
+        for i, plane in enumerate(basis.planes):
+            assert np.shares_memory(plane.data, stack) and np.array_equal(plane.data, stack[i])
+            assert not plane.data.flags.writeable
+
+
+def test_fb_cache_digests_the_source_once_per_warm_build(tmp_path, monkeypatch):
+    import hashlib
+
+    img = synthetic_clean(80, width=12, height=10, channels=3)
+    configs = bilateral_preset()
+    cache = FBCache(tmp_path / "cache")
+    build_basis(img, configs, threads=2, cache=cache)
+
+    real_sha256 = hashlib.sha256
+    image_digests = []
+
+    class Counting:
+        def __init__(self, data=b""):
+            self._hash = real_sha256()
+            self._fed = 0
+            self.update(data)
+
+        def update(self, data):
+            self._fed += len(data)
+            if self._fed >= img.data.nbytes:
+                image_digests.append(self)
+            self._hash.update(data)
+
+        def hexdigest(self):
+            return self._hash.hexdigest()
+
+    monkeypatch.setattr(hashlib, "sha256", Counting)
+    source = Image(img.data)  # a fresh instance, as a new command reads it
+    warm = build_basis(source, configs, threads=2, cache=cache)
+    assert len(set(map(id, image_digests))) == 1
+    assert warm.tensor().tobytes() == build_basis(img, configs).tensor().tobytes()
+
+
+def test_fb_cache_truncated_file_is_a_miss_and_recomputed(tmp_path):
+    img = synthetic_clean(81, width=10, height=10)
+    cfg = Median(3, 3)
+    cache = FBCache(tmp_path / "cache")
+    fresh = build_basis(img, [cfg], cache=cache).planes[0]
+    path = cache.path_for(img, cfg)
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    assert cache.get(img, cfg) is None
+    assert build_basis(img, [cfg], cache=cache).planes[0] == fresh
+    assert cache.get(img, cfg) == fresh  # the put rewrote the file
+
+
+def test_fb_cache_wrong_shape_file_is_a_miss(tmp_path):
+    img = synthetic_clean(82, width=10, height=10)
+    cfg = Median(3, 3)
+    cache = FBCache(tmp_path / "cache")
+    fresh = build_basis(img, [cfg]).planes[0]
+    cache.put(img, cfg, Image.constant(10, 9, 0.5))
+    assert cache.get(img, cfg) is None
+    assert build_basis(img, [cfg], cache=cache).planes[0] == fresh
+    assert cache.get(img, cfg) == fresh
+
+
+def test_fb_cache_snaps_off_grid_values_as_image_does(tmp_path):
+    img = synthetic_clean(83, width=8, height=6)
+    cfg = Median(3, 3)
+    cache = FBCache(tmp_path / "cache")
+    raw = np.random.default_rng(84).uniform(-0.5, 1.5, size=img.shape)
+    raw[0, 0, :3] = [0.5 * 2.0**-48, 1.5 * 2.0**-48, 1 - 2.5 * 2.0**-48]  # grid halves
+    path = cache.path_for(img, cfg)
+    path.parent.mkdir(parents=True)
+    np.save(path, raw)
+    expected = Image(raw)
+    served = cache.get(img, cfg)
+    assert served.data.tobytes() == expected.data.tobytes()
+    assert not served.data.flags.writeable
+    assert build_basis(img, [cfg], cache=cache).planes[0].data.tobytes() == expected.data.tobytes()
+    assert np.load(path).tobytes() == raw.tobytes()  # a hit does not rewrite the file
+
+
+def test_fb_cache_non_finite_file_is_an_error_naming_it(tmp_path):
+    img = synthetic_clean(85, width=8, height=6)
+    cfg = Median(3, 3)
+    cache = FBCache(tmp_path / "cache")
+    bad = np.full(img.shape, 0.5)
+    bad[0, 2, 3] = np.nan
+    path = cache.path_for(img, cfg)
+    path.parent.mkdir(parents=True)
+    np.save(path, bad)
+    for read in (lambda: cache.get(img, cfg), lambda: build_basis(img, [cfg], cache=cache)):
+        with pytest.raises(ValueError) as info:
+            read()
+        assert str(path) in str(info.value) and "finite" in str(info.value)
+
+
 def test_fb_cache_key_covers_kernel_version(tmp_path, monkeypatch):
     from fbcompose import filters as filters_mod
 

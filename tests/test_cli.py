@@ -75,6 +75,22 @@ def test_filter_bad_config_is_processing_error(workspace):
     assert not out.exists()  # validated before writing
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ("gauss:ss=-1", "sigma_spatial"),
+        ("gauss:ss=inf", "sigma_spatial"),
+        ("rgf:sr=0.2,ss=inf,k=3,t=1", "sigma_spatial"),
+        ("bilateral:ss=inf,sr=1,k=3", "sigma_spatial"),
+    ],
+)
+def test_filter_bad_sigma_is_processing_error_naming_the_field(workspace, capsys, config, field):
+    out = workspace / "nope.pgm"
+    assert run(["filter", config, str(workspace / "clean.pgm"), str(out)]) == 2
+    assert f"{field} must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_filter_does_not_mutate_input(workspace):
     src = workspace / "clean.pgm"
     before = src.read_bytes()
@@ -412,6 +428,23 @@ def test_rejected_calibrate_flag_is_usage_error(workspace, capsys, args, flag):
     assert run(argv + args) == 1
     assert flag in capsys.readouterr().err
     assert not out.exists() and not report.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("median:k1=1|x,k2=3", "bad number 'x' for 'k1' in grid part 'k1=1|x'"),
+        ("bilateral:ss=0.1:1.1:two,sr=1,k=5", "bad number 'two' for 'ss' in grid part 'ss=0.1:1.1:two'"),
+        ("bilateral:ss=0.1:1.1:3,sr=1,k=y", "bad number 'y' for 'k' in grid part 'k=y'"),
+    ],
+)
+def test_calibrate_grid_number_error_names_parameter_and_part(workspace, capsys, grid, message):
+    out = workspace / "out.txt"
+    argv = ["calibrate", "--grid", grid, "--select", "1", "--pairs", str(workspace / "data.txt"),
+            "--out", str(out)]
+    assert run(argv) == 1
+    assert f"calibrate: --grid: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_exits_zero():

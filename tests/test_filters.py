@@ -113,6 +113,22 @@ def test_parse_rejects_malformed(text):
         parse_config(text)
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("gauss:ss=inf", "sigma_spatial"),
+        ("gauss:ss=nan", "sigma_spatial"),
+        ("bilateral:ss=inf,sr=1,k=5", "sigma_spatial"),
+        ("bilateral:ss=1,sr=inf,k=5", "sigma_range"),
+        ("rgf:sr=0.2,ss=inf,k=9,t=1", "sigma_spatial"),
+        ("rgf:sr=-inf,ss=3,k=9,t=1", "sigma_range"),
+    ],
+)
+def test_parse_rejects_non_finite_sigma_naming_the_field(text, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+        parse_config(text)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         Bilateral(0.0, 1.0, 15)

@@ -43,6 +43,29 @@ def test_grid_snap_is_idempotent():
     assert np.array_equal(snap_unit(img.data), img.data)
 
 
+def _snap_reference(values):
+    arr = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
+    return np.rint(arr * 2.0**GRID_BITS) / 2.0**GRID_BITS
+
+
+def test_snap_unit_matches_reference_and_leaves_input_alone():
+    rng = np.random.default_rng(6)
+    step = 2.0**-GRID_BITS
+    values = rng.uniform(-0.5, 1.5, size=(3, 5, 7))
+    values[0, 0, :6] = [0.5 * step, 1.5 * step, 2.5 * step, 1 - 0.5 * step, -step, 1 + step]
+    before = values.copy()
+    expected = _snap_reference(values)
+    assert snap_unit(values).tobytes() == expected.tobytes()
+    assert values.tobytes() == before.tobytes()
+    out = np.full(values.shape, np.nan)
+    assert snap_unit(values, out=out) is out and out.tobytes() == expected.tobytes()
+    assert values.tobytes() == before.tobytes()
+    # Other real dtypes are converted, as before.
+    ints = np.array([[-1, 0], [1, 2]])
+    assert snap_unit(ints).tobytes() == _snap_reference(ints).tobytes()
+    assert ints.tolist() == [[-1, 0], [1, 2]]
+
+
 def test_grid_makes_differences_exact():
     # Core invariant behind residual stacks: for any two images a and b,
     # (a - b) + b reproduces a bit-for-bit.
