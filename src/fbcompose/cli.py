@@ -10,6 +10,7 @@ image out, no filter parameters accepted.
 from __future__ import annotations
 
 import argparse
+import functools
 import statistics
 import sys
 import time
@@ -384,7 +385,9 @@ def _cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="fbcompose", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -484,3 +487,7 @@ def run(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -266,6 +266,11 @@ def joint_bilateral(
     Offsets whose spatial exponent alone lies below exp's underflow point
     are skipped: their weight is exactly 0, so adding them would change no
     bit of either sum.
+
+    Pixels are addressed along whole padded rows of length ``row``, so the
+    neighbour (y+dy, x+dx) of every output pixel lies ``dy*row + dx`` further
+    on and each shifted operand is one contiguous run; the 2*radius columns
+    between output rows are computed alongside and cropped at the end.
     """
     if a.shape != guide.shape:
         raise ValueError(f"joint_bilateral: image {a.shape} vs guide {guide.shape}")
@@ -274,40 +279,41 @@ def joint_bilateral(
     _check_odd("window", window)
 
     radius = window // 2
-    src = a.data
-    ref = guide.data
-    channels, height, width = src.shape
+    channels, height, width = a.shape
+    row = width + 2 * radius
+    first = radius * row + radius
+    span = (height - 1) * row + width
     pad = ((0, 0), (radius, radius), (radius, radius))
-    padded_src = np.pad(src, pad, mode="edge")
-    padded_ref = padded_src if guide is a else np.pad(ref, pad, mode="edge")
+    flat_src = np.pad(a.data, pad, mode="edge").reshape(channels, -1)
+    flat_ref = flat_src if guide is a else np.pad(guide.data, pad, mode="edge").reshape(channels, -1)
+    centre = flat_ref[:, first:first + span]
     inv_ss = 1.0 / (2.0 * sigma_spatial * sigma_spatial)
     inv_sr = 1.0 / (2.0 * sigma_range * sigma_range)
 
-    accum = np.zeros_like(src)
-    norm = np.zeros((height, width))
-    delta = np.empty_like(src)
-    term = np.empty_like(src)
-    dist2 = np.empty((height, width))
-    weight = np.empty((height, width))
+    # Row 0 of ``step`` holds one offset's weights, rows 1.. its weighted
+    # values, so both running sums take one ``+=`` per offset.
+    sums = np.zeros((channels + 1, height * row))
+    step = np.empty((channels + 1, span))
+    weight = step[0]
+    delta = np.empty((channels, span))
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
             spatial = -(dy * dy + dx * dx) * inv_ss
             if spatial < _EXP_UNDERFLOW:
                 continue  # weight is exactly 0 whatever the range term
-            rows = slice(radius + dy, radius + dy + height)
-            cols = slice(radius + dx, radius + dx + width)
-            np.subtract(padded_ref[:, rows, cols], ref, out=delta)
+            start = first + dy * row + dx
+            np.subtract(flat_ref[:, start:start + span], centre, out=delta)
             if channels == 1:
-                np.multiply(delta[0], delta[0], out=dist2)
+                np.multiply(delta[0], delta[0], out=weight)
             else:
-                np.einsum("chw,chw->hw", delta, delta, out=dist2)
-            np.multiply(dist2, inv_sr, out=weight)
+                np.einsum("cn,cn->n", delta, delta, out=weight)
+            np.multiply(weight, inv_sr, out=weight)
             np.subtract(spatial, weight, out=weight)
             np.exp(weight, out=weight)
-            np.multiply(weight, padded_src[:, rows, cols], out=term)
-            accum += term
-            norm += weight
-    return Image(accum / norm)
+            np.multiply(weight, flat_src[:, start:start + span], out=step[1:])
+            sums[:, :span] += step
+    sums = sums.reshape(channels + 1, height, row)[:, :, :width]
+    return Image(sums[1:] / sums[0])
 
 
 def bilateral(a: Image, sigma_spatial: float, sigma_range: float, window: int) -> Image:

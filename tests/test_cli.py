@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import fbcompose
 from fbcompose import (
     DatasetSpec,
     Median,
@@ -17,10 +22,21 @@ from fbcompose import (
     write_image,
     write_preset,
 )
-from fbcompose.cli import BenchReport, bench, run
+from fbcompose.cli import BenchReport, bench, build_parser, run
 from fbcompose.model import model_to_vector
 
 from synth import synthetic_clean
+
+SRC = str(Path(fbcompose.__file__).resolve().parent.parent)
+
+
+def _fresh(module, argv, cwd):
+    """One command in a new interpreter, through ``python -m module``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 @pytest.fixture()
@@ -450,3 +466,41 @@ def test_calibrate_grid_number_error_names_parameter_and_part(workspace, capsys,
 def test_help_exits_zero():
     assert run(["--help"]) == 0
     assert run(["train", "--help"]) == 0
+
+
+def test_python_m_runs_the_commands(workspace):
+    done = _fresh("fbcompose", ["--help"], workspace)
+    assert done.returncode == 0
+    assert "usage: fbcompose" in done.stdout
+    for module in ("fbcompose", "fbcompose.cli"):
+        out = workspace / f"{module}.pgm"
+        done = _fresh(module, ["filter", "gauss:ss=inf", "clean.pgm", out.name], workspace)
+        assert done.returncode == 2, module
+        assert "sigma_spatial must be finite and > 0" in done.stderr
+        assert not out.exists()
+
+
+def test_reused_parser_gives_the_same_codes_and_files_as_fresh_runs(workspace, capsys, monkeypatch):
+    save_model(init_model([Median(3, 3), Median(1, 1)]), workspace / "model.cfmodel")
+
+    def commands(tag):
+        return [
+            ["apply", "--model", "model.cfmodel", "clean.pgm", f"applied_{tag}.pgm"],
+            ["eval", "--model", "model.cfmodel", "--data", "data.txt", "--csv", f"eval_{tag}.csv"],
+        ]
+
+    fresh = [_fresh("fbcompose", argv, workspace) for argv in commands("fresh")]
+    assert [done.returncode for done in fresh] == [0, 0]
+
+    assert build_parser() is build_parser()
+    monkeypatch.chdir(workspace)
+    assert run(["apply", "--model"]) == 1
+    capsys.readouterr()
+    codes, stdouts = [], []
+    for argv in commands("reused"):
+        codes.append(run(argv))
+        stdouts.append(capsys.readouterr().out)
+    assert codes == [0, 0]
+    assert stdouts == [done.stdout for done in fresh]
+    for name in ("applied_{}.pgm", "eval_{}.csv"):
+        assert (workspace / name.format("reused")).read_bytes() == (workspace / name.format("fresh")).read_bytes()

@@ -24,6 +24,7 @@ from oracles import (
     oracle_joint_bilateral,
     oracle_median,
     oracle_windowed_gaussian,
+    reference_joint_bilateral,
 )
 from synth import synthetic_clean
 
@@ -265,6 +266,31 @@ def test_joint_bilateral_shape_mismatch():
     b = Image.constant(7, 6, 0.5)
     with pytest.raises(ValueError):
         joint_bilateral(a, b, 1.0, 1.0, 3)
+
+
+# Shapes where addressing the padded rows as one flat run could go wrong: a
+# single pixel, a single row or column, and windows wider and taller than the
+# image, so every neighbour lies in the clamped border.
+FLAT_EDGE_CASES = [
+    (1, 1, 3), (1, 1, 15), (1, 13, 5), (11, 1, 5), (3, 2, 15), (2, 9, 7), (6, 5, 3),
+]
+
+
+@pytest.mark.parametrize("height,width,window", FLAT_EDGE_CASES)
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("self_guided", [True, False], ids=["self-guide", "separate-guide"])
+def test_joint_bilateral_edge_shapes_equal_previous_kernel(height, width, window, channels, self_guided):
+    rng = np.random.default_rng(height * 100 + width * 10 + window + channels)
+    img = Image(rng.random((channels, height, width)))
+    guide = img if self_guided else Image(rng.random((channels, height, width)))
+    img_before, guide_before = img.data.copy(), guide.data.copy()
+    for ss, sr in ((3.0, 0.2), (0.4, 1.5)):
+        got = joint_bilateral(img, guide, ss, sr, window)
+        want = reference_joint_bilateral(img, guide, ss, sr, window)
+        assert got.shape == img.shape
+        assert np.array_equal(got.data, want.data), (ss, sr)
+    assert np.array_equal(img.data, img_before)
+    assert np.array_equal(guide.data, guide_before)
 
 
 # ---------------------------------------------------------------------------
