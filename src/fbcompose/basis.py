@@ -28,43 +28,6 @@ from .image import Image, snap_unit
 from .metrics import psnr
 
 
-@dataclass(frozen=True)
-class ParamRange:
-    """One sampling axis: a [lo, hi] interval or an explicit value set."""
-
-    name: str
-    lo: float = 0.0
-    hi: float = 0.0
-    values: tuple[float, ...] | None = None
-
-    @staticmethod
-    def continuous(name: str, lo: float, hi: float) -> "ParamRange":
-        if lo > hi:
-            raise ValueError(f"range {name}: lo {lo} > hi {hi}")
-        return ParamRange(name, float(lo), float(hi))
-
-    @staticmethod
-    def discrete(name: str, values: Iterable[float]) -> "ParamRange":
-        frozen = tuple(float(v) for v in values)
-        if not frozen:
-            raise ValueError(f"range {name}: discrete value set must be non-empty")
-        return ParamRange(name, values=frozen)
-
-    def sample(self, count: int) -> tuple[float, ...]:
-        """``count`` evenly spaced values including both endpoints.
-
-        A count of 1 collapses to the midpoint; discrete axes always
-        contribute their listed values.
-        """
-        if self.values is not None:
-            return self.values
-        if count < 1:
-            raise ValueError(f"range {self.name}: count must be >= 1, got {count}")
-        if count == 1:
-            return ((self.lo + self.hi) / 2.0,)
-        return tuple(float(v) for v in np.linspace(self.lo, self.hi, count))
-
-
 def make_config(kind: str, params: Mapping[str, float]) -> FilterConfig:
     """Build a FilterConfig from canonical short parameter names.
 
@@ -91,27 +54,61 @@ def make_config(kind: str, params: Mapping[str, float]) -> FilterConfig:
     return cls(*values)
 
 
-def dis_grid(
-    kind: str,
-    ranges: Sequence[ParamRange],
-    counts: Sequence[int],
-    fixed: Mapping[str, float] | None = None,
-) -> list[FilterConfig]:
-    """Uniform per-parameter sampling combined as a full Cartesian product.
+def dis_grid(kind: str, axes: Mapping[str, Sequence[float]]) -> list[FilterConfig]:
+    """Direct isometric sampling: the Cartesian product of per-parameter value axes.
 
-    The first range varies slowest (lexicographic order).  ``fixed`` holds
-    parameters shared by every configuration.
+    The first axis varies slowest (lexicographic order); a one-value axis
+    fixes that parameter for every configuration.
     """
-    if len(ranges) != len(counts):
-        raise ValueError(f"{len(ranges)} ranges but {len(counts)} counts")
-    axes = [axis.sample(int(count)) for axis, count in zip(ranges, counts)]
-    base = dict(fixed or {})
-    configs = []
-    for combo in itertools.product(*axes):
-        params = dict(base)
-        params.update({axis.name: value for axis, value in zip(ranges, combo)})
-        configs.append(make_config(kind, params))
-    return configs
+    names = list(axes)
+    return [make_config(kind, dict(zip(names, c))) for c in itertools.product(*axes.values())]
+
+
+def parse_grid(spec: str) -> list[FilterConfig]:
+    """The configs of a grid ``kind:name=lo:hi:count,name=v1|v2,name=value,...``.
+
+    ``lo:hi:count`` is ``count`` evenly spaced values including both
+    endpoints (the midpoint when count is 1), ``v1|v2`` the listed values
+    and a plain value a one-value axis; the axes combine as in ``dis_grid``.
+    A malformed part, a repeated name, lo > hi or a count below 1 is a
+    ValueError.
+    """
+    head, sep, body = spec.strip().partition(":")
+    if not sep:
+        raise ValueError(f"bad grid {spec!r}: missing ':'")
+    axes: dict[str, tuple[float, ...]] = {}
+
+    def number(text: str, parse=float):
+        try:
+            return parse(text)
+        except ValueError:
+            raise ValueError(f"bad number {text!r} for {name!r} in grid part {part!r}") from None
+    for part in body.split(","):
+        name, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"bad grid {spec!r}: expected name=value, got {part!r}")
+        name = name.strip()
+        value = value.strip()
+        if name in axes:
+            raise ValueError(f"parameter {name!r} appears twice in grid {spec!r}")
+        if "|" in value:
+            axes[name] = tuple(number(v) for v in value.split("|"))
+        elif ":" in value:
+            fields = value.split(":")
+            if len(fields) != 3:
+                raise ValueError(f"bad grid range {part!r}: expected lo:hi:count")
+            lo, hi, count = number(fields[0]), number(fields[1]), number(fields[2], int)
+            if lo > hi:
+                raise ValueError(f"range {name}: lo {lo} > hi {hi}")
+            if count < 1:
+                raise ValueError(f"range {name}: count must be >= 1, got {count}")
+            if count == 1:
+                axes[name] = ((lo + hi) / 2.0,)
+            else:
+                axes[name] = tuple(float(v) for v in np.linspace(lo, hi, count))
+        else:
+            axes[name] = (number(value),)
+    return dis_grid(head.strip(), axes)
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +331,13 @@ def build_residuals(basis: FilteredBasis) -> ResidualBasis:
 # Shipped presets
 # ---------------------------------------------------------------------------
 
+# The 77-candidate calibration grid: 11 spatial x 7 range sigmas at k=15.
+BILATERAL_CANDIDATE_GRID = "bilateral:ss=0.1:1.1:11,sr=0.5:3.5:7,k=15"
+
 # Nine bilateral configurations selected by indirect isometric sampling:
-# the 77-candidate grid below was calibrated on a seeded synthetic
-# denoising suite (Gaussian noise, sigma255=25) and nine evenly spaced
-# scores were sampled.  Regenerate with the `calibrate` CLI command.
+# that grid was calibrated on a seeded synthetic denoising suite (Gaussian
+# noise, sigma255=25) and nine evenly spaced scores were sampled.
+# Regenerate with the `calibrate` CLI command.
 _BILATERAL_PRESET_9 = (
     "bilateral:ss=0.1,sr=0.5,k=15",
     "bilateral:ss=0.4,sr=0.5,k=15",
@@ -355,11 +355,7 @@ _MEDIAN_SHAPES = ((3, 3), (3, 5), (3, 7), (3, 9), (5, 5), (5, 7), (5, 9), (7, 7)
 
 def bilateral_candidate_grid() -> list[FilterConfig]:
     """The dense 77-candidate bilateral grid used for calibration."""
-    ranges = [
-        ParamRange.continuous("ss", 0.1, 1.1),
-        ParamRange.continuous("sr", 0.5, 3.5),
-    ]
-    return dis_grid("bilateral", ranges, (11, 7), fixed={"k": 15})
+    return parse_grid(BILATERAL_CANDIDATE_GRID)
 
 
 def bilateral_preset() -> list[FilterConfig]:

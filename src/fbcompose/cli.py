@@ -19,14 +19,14 @@ from typing import Sequence
 
 from . import filters
 from .basis import (
+    BILATERAL_CANDIDATE_GRID,
     BUILTIN_PRESETS,
     Candidate,
     FBCache,
-    ParamRange,
     build_basis,
     calibrate,
-    dis_grid,
     iis_select,
+    parse_grid,
     read_preset,
     write_calibration_report,
     write_csv,
@@ -39,6 +39,7 @@ from .model import LossWeights, forward, init_model, load_model, save_model
 from .noise import add_gaussian_noise, add_impulse_noise
 from .pnm import read_image, write_image
 from .trainer import (
+    ADAM,
     DatasetSpec,
     TrainingConfig,
     ablate_residual,
@@ -165,44 +166,9 @@ def _cmd_filter(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(spec: str):
-    """Grid syntax: ``kind:name=lo:hi:count,name=value,name=v1|v2,...``."""
-    head, sep, body = spec.strip().partition(":")
-    if not sep:
-        raise ValueError(f"bad grid {spec!r}: missing ':'")
-    kind = head.strip().lower()
-    ranges: list[ParamRange] = []
-    counts: list[int] = []
-    fixed: dict[str, float] = {}
-
-    def number(text: str, parse=float):
-        try:
-            return parse(text)
-        except ValueError:
-            raise ValueError(f"bad number {text!r} for {name!r} in grid part {part!r}") from None
-    for part in body.split(","):
-        name, eq, value = part.partition("=")
-        if not eq:
-            raise ValueError(f"bad grid {spec!r}: expected name=value, got {part!r}")
-        name = name.strip()
-        value = value.strip()
-        if "|" in value:
-            ranges.append(ParamRange.discrete(name, [number(v) for v in value.split("|")]))
-            counts.append(1)
-        elif ":" in value:
-            fields = value.split(":")
-            if len(fields) != 3:
-                raise ValueError(f"bad grid range {part!r}: expected lo:hi:count")
-            ranges.append(ParamRange.continuous(name, number(fields[0]), number(fields[1])))
-            counts.append(number(fields[2], int))
-        else:
-            fixed[name] = number(value)
-    return kind, ranges, counts, fixed
-
-
 def _cmd_calibrate(args) -> int:
     try:
-        candidates = dis_grid(*_parse_grid(args.grid))
+        candidates = parse_grid(args.grid)
     except ValueError as exc:
         raise _UsageError(f"calibrate: --grid: {exc}") from exc
     if not 1 <= args.select <= len(candidates):
@@ -233,7 +199,7 @@ def _cmd_train(args) -> int:
         "lambda": cfg.loss.lam,
         "gamma": cfg.loss.gamma,
         "tv_weight": cfg.tv_weight,
-        "adam": [cfg.beta1, cfg.beta2, cfg.epsilon],
+        "adam": list(ADAM),
         "epochs": cfg.epochs,
         "batch_size": cfg.batch_size,
         "lr0": cfg.lr0,
@@ -410,7 +376,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("calibrate", help="score a sampling grid and select a preset")
     p.add_argument(
         "--grid",
-        default="bilateral:ss=0.1:1.1:11,sr=0.5:3.5:7,k=15",
+        default=BILATERAL_CANDIDATE_GRID,
         help="kind:name=lo:hi:count,name=value,name=v1|v2,...",
     )
     p.add_argument("--pairs", required=True, help="calibration dataset manifest")

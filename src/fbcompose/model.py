@@ -115,26 +115,16 @@ class CompositionModel:
         return len(self.basis_configs)
 
 
-def init_model(
-    configs: Sequence[FilterConfig], seed: int = 0, randomized: bool = False
-) -> CompositionModel:
+def init_model(configs: Sequence[FilterConfig]) -> CompositionModel:
     """Uniform-average start: both branches average their planes, the merge
-    splits evenly.  ``randomized`` draws branch weights uniform in [-1/n, 1/n]
-    from the seeded generator instead."""
+    splits evenly."""
     n = len(configs)
     if n < 1:
         raise ValueError("model needs at least one basis config")
-    if randomized:
-        rng = np.random.default_rng(seed)
-        content_w = rng.uniform(-1.0 / n, 1.0 / n, n)
-        residual_w = rng.uniform(-1.0 / n, 1.0 / n, n)
-    else:
-        content_w = np.full(n, 1.0 / n)
-        residual_w = np.full(n, 1.0 / n)
     return CompositionModel(
         tuple(configs),
-        BranchWeights(content_w, 0.0),
-        BranchWeights(residual_w, 0.0),
+        BranchWeights(np.full(n, 1.0 / n), 0.0),
+        BranchWeights(np.full(n, 1.0 / n), 0.0),
         MergeWeights(0.5, 0.5, 0.0),
     )
 

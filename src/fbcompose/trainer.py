@@ -47,9 +47,6 @@ class TrainingConfig:
     loss: LossWeights = LossWeights()
     loss_kind: str = "mse"
     tv_weight: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
     shuffle: bool = True
 
@@ -84,6 +81,9 @@ def lr_at(epoch: int, cfg: TrainingConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
+ADAM = (0.9, 0.999, 1e-8)  # beta1, beta2, epsilon
+
+
 @dataclass(frozen=True)
 class AdamState:
     """First/second moment accumulators and the step counter."""
@@ -102,13 +102,11 @@ def adam_step(
     grads: np.ndarray,
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns (new_params, new_state)."""
+    """One bias-corrected Adam update with ``ADAM``; returns (new_params, new_state)."""
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("adam_step: parameter/gradient/state shapes disagree")
+    beta1, beta2, epsilon = ADAM
     t = state.t + 1
     m = beta1 * state.m + (1.0 - beta1) * grads
     v = beta2 * state.v + (1.0 - beta2) * (grads * grads)
@@ -373,9 +371,7 @@ def train(
                 grad_vec += grads
                 loss_sum += loss
             grad_vec /= len(chunk)
-            params, state = adam_step(
-                params, grad_vec, state, lr, cfg.beta1, cfg.beta2, cfg.epsilon
-            )
+            params, state = adam_step(params, grad_vec, state, lr)
             try:
                 model = vector_to_model(params, basis_configs)
             except ValueError as exc:  # non-finite weights: the run diverged

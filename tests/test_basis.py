@@ -1,3 +1,4 @@
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,13 +26,14 @@ from fbcompose import (
     median,
     median_preset,
     parse_config,
+    parse_grid,
     psnr,
     read_preset,
     rgf_preset,
     write_preset,
 )
 from fbcompose import filters
-from fbcompose.basis import CalibrationError, ParamRange, write_calibration_report
+from fbcompose.basis import CalibrationError, write_calibration_report
 from fbcompose.filters import KINDS
 
 from synth import synthetic_clean
@@ -42,12 +44,12 @@ from synth import synthetic_clean
 # ---------------------------------------------------------------------------
 
 
-def _bilateral_ranges():
-    return [ParamRange.continuous("ss", 0.1, 1.1), ParamRange.continuous("sr", 0.5, 3.5)]
+def _bilateral_grid(c1, c2, k=15):
+    return parse_grid(f"bilateral:ss=0.1:1.1:{c1},sr=0.5:3.5:{c2},k={k}")
 
 
 def test_dis_grid_77_candidates():
-    configs = dis_grid("bilateral", _bilateral_ranges(), (11, 7), fixed={"k": 15})
+    configs = _bilateral_grid(11, 7)
     assert len(configs) == 77
     assert configs == bilateral_candidate_grid()
     # Endpoints included, first range varies slowest.
@@ -58,7 +60,7 @@ def test_dis_grid_77_candidates():
 
 
 def test_dis_grid_single_count_takes_midpoints():
-    configs = dis_grid("bilateral", _bilateral_ranges(), (1, 1), fixed={"k": 15})
+    configs = _bilateral_grid(1, 1)
     assert configs == [Bilateral(0.6000000000000001, 2.0, 15)]
     # Midpoints: (0.1 + 1.1)/2 and (0.5 + 3.5)/2.
     assert configs[0].sigma_spatial == pytest.approx(0.6, abs=1e-12)
@@ -66,43 +68,46 @@ def test_dis_grid_single_count_takes_midpoints():
 
 
 def test_dis_grid_two_counts_give_corners():
-    configs = dis_grid("bilateral", _bilateral_ranges(), (2, 2), fixed={"k": 15})
-    assert configs == [
+    corners = [
         Bilateral(0.1, 0.5, 15),
         Bilateral(0.1, 3.5, 15),
         Bilateral(1.1, 0.5, 15),
         Bilateral(1.1, 3.5, 15),
     ]
+    assert _bilateral_grid(2, 2) == corners
+    assert dis_grid("bilateral", {"ss": (0.1, 1.1), "sr": (0.5, 3.5), "k": (15,)}) == corners
 
 
 def test_dis_grid_size_is_product_of_counts():
     rng = np.random.default_rng(60)
     for _ in range(5):
         c1, c2 = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        configs = dis_grid("bilateral", _bilateral_ranges(), (c1, c2), fixed={"k": 5})
+        configs = _bilateral_grid(c1, c2, k=5)
         assert len(configs) == c1 * c2
 
 
 def test_dis_grid_discrete_set_contributes_values():
-    ranges = [ParamRange.discrete("k1", [3, 5]), ParamRange.discrete("k2", [3, 7, 9])]
-    configs = dis_grid("median", ranges, (1, 1))
+    configs = parse_grid("median:k1=3|5,k2=3|7|9")
     assert len(configs) == 6
     assert configs[0] == Median(3, 3)
     assert configs[-1] == Median(5, 9)
+    assert dis_grid("median", {"k1": (3, 5), "k2": (3, 7, 9)}) == configs
 
 
-def test_dis_grid_count_mismatch():
-    with pytest.raises(ValueError):
-        dis_grid("bilateral", _bilateral_ranges(), (3,), fixed={"k": 5})
-
-
-def test_param_range_validation():
-    with pytest.raises(ValueError):
-        ParamRange.continuous("x", 2.0, 1.0)
-    with pytest.raises(ValueError):
-        ParamRange.discrete("x", [])
-    with pytest.raises(ValueError):
-        ParamRange.continuous("x", 0.0, 1.0).sample(0)
+def test_parse_grid_validation():
+    for grid, message in [
+        ("bilateral:ss=2.0:1.0:3,sr=1,k=5", "range ss: lo 2.0 > hi 1.0"),
+        ("bilateral:ss=0.0:1.0:0,sr=1,k=5", "range ss: count must be >= 1, got 0"),
+        ("bilateral:ss=0.0:1.0:-1,sr=1,k=5", "range ss: count must be >= 1, got -1"),
+        ("median:k1=,k2=3", "bad number '' for 'k1'"),
+        ("median:k1=3|,k2=3", "bad number '' for 'k1'"),
+        # A repeated name is an error, not a merge that duplicates or drops values.
+        ("median:k1=1|3,k1=5|7,k2=3", "parameter 'k1' appears twice"),
+        ("median:k1=3,k1=5,k2=3", "parameter 'k1' appears twice"),
+        ("median:k1=1|3,k1=5,k2=3", "parameter 'k1' appears twice"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_grid(grid)
 
 
 def test_make_config_errors():

@@ -430,6 +430,7 @@ def test_rejected_recipe_flag_is_usage_error(workspace, capsys, args, field):
         (["--grid", "rgf:sr=0.1,ss=2,k=9,t=nan"], "--grid"),
         (["--grid", "bilateral:ss=0.1:1.1:0,sr=1,k=5"], "--grid"),
         (["--grid", "nope:x=1"], "--grid"),
+        (["--grid", "median:k1=1|3,k1=5|7,k2=3"], "--grid: parameter 'k1' appears twice"),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )

@@ -106,17 +106,6 @@ def test_initial_content_is_plain_mean_of_planes():
     assert np.allclose(out.content, basis.tensor().mean(axis=0), atol=1e-12)
 
 
-def test_init_randomized_mode_is_seed_deterministic_and_bounded():
-    configs = _dummy_configs(5)
-    a = init_model(configs, seed=7, randomized=True)
-    b = init_model(configs, seed=7, randomized=True)
-    c = init_model(configs, seed=8, randomized=True)
-    assert np.array_equal(a.content.weights, b.content.weights)
-    assert not np.array_equal(a.content.weights, c.content.weights)
-    assert np.all(np.abs(a.content.weights) <= 1.0 / 5)
-    assert np.all(np.abs(a.residual.weights) <= 1.0 / 5)
-
-
 def test_model_validates_weight_lengths():
     with pytest.raises(ValueError):
         CompositionModel(
