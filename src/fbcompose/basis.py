@@ -58,10 +58,18 @@ def dis_grid(kind: str, axes: Mapping[str, Sequence[float]]) -> list[FilterConfi
     """Direct isometric sampling: the Cartesian product of per-parameter value axes.
 
     The first axis varies slowest (lexicographic order); a one-value axis
-    fixes that parameter for every configuration.
+    fixes that parameter for every configuration.  A product that holds one
+    config twice (a repeated axis value, or values equal after the integer
+    snap) is a ValueError naming that config.
     """
     names = list(axes)
-    return [make_config(kind, dict(zip(names, c))) for c in itertools.product(*axes.values())]
+    configs = [make_config(kind, dict(zip(names, c))) for c in itertools.product(*axes.values())]
+    seen: set[FilterConfig] = set()
+    for cfg in configs:
+        if cfg in seen:
+            raise ValueError(f"config {cfg.canonical()} appears twice in the grid")
+        seen.add(cfg)
+    return configs
 
 
 def parse_grid(spec: str) -> list[FilterConfig]:
@@ -70,8 +78,8 @@ def parse_grid(spec: str) -> list[FilterConfig]:
     ``lo:hi:count`` is ``count`` evenly spaced values including both
     endpoints (the midpoint when count is 1), ``v1|v2`` the listed values
     and a plain value a one-value axis; the axes combine as in ``dis_grid``.
-    A malformed part, a repeated name, lo > hi or a count below 1 is a
-    ValueError.
+    A malformed part, a repeated name, lo > hi, a count below 1 or a
+    repeated config is a ValueError.
     """
     head, sep, body = spec.strip().partition(":")
     if not sep:

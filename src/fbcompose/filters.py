@@ -222,6 +222,8 @@ KERNEL_VERSION = 1
 
 # exp(x) is exactly 0.0 in float64 for every x below about -745.13.
 _EXP_UNDERFLOW = -746.0
+# Bytes of window copies the median partitions at once: one core's L2.
+_MEDIAN_BAND_BYTES = 2 << 20
 
 
 def gaussian_kernel1d(sigma_spatial: float) -> np.ndarray:
@@ -322,19 +324,25 @@ def bilateral(a: Image, sigma_spatial: float, sigma_range: float, window: int) -
 
 
 def median(a: Image, k1: int, k2: int) -> Image:
-    """Exact k1 (rows) x k2 (columns) median per channel."""
+    """Exact k1 (rows) x k2 (columns) median per channel, its windows copied
+    and partitioned a band of at most ``_MEDIAN_BAND_BYTES`` (or one row) at a time."""
     _check_odd("k1", k1)
     _check_odd("k2", k2)
     r1, r2 = k1 // 2, k2 // 2
     _, height, width = a.shape
     mid = k1 * k2 // 2  # odd window, finite data: the median is one order statistic
+    band = max(1, min(height, _MEDIAN_BAND_BYTES // (width * k1 * k2 * 8)))
     padded = np.pad(a.data, ((0, 0), (r1, r1), (r2, r2)), mode="edge")
+    buffer = np.empty((band, width, k1, k2))
     out = np.empty(a.data.shape)
-    for c in range(a.channels):  # per channel keeps the window copies small
+    for c in range(a.channels):
         windows = np.lib.stride_tricks.sliding_window_view(padded[c], (k1, k2))
-        flat = np.array(windows).reshape(height, width, k1 * k2)
-        flat.partition(mid, axis=-1)
-        out[c] = flat[..., mid]
+        for y in range(0, height, band):
+            rows = min(band, height - y)
+            buffer[:rows] = windows[y:y + rows]
+            flat = buffer[:rows].reshape(rows, width, k1 * k2)  # a view: rows are contiguous
+            flat.partition(mid, axis=-1)
+            out[c, y:y + rows] = flat[..., mid]
     return Image(out)
 
 

@@ -105,9 +105,19 @@ def test_parse_grid_validation():
         ("median:k1=1|3,k1=5|7,k2=3", "parameter 'k1' appears twice"),
         ("median:k1=3,k1=5,k2=3", "parameter 'k1' appears twice"),
         ("median:k1=1|3,k1=5,k2=3", "parameter 'k1' appears twice"),
+        # So is a product holding one config twice: a value listed twice,
+        # lo == hi with count > 1, values equal after the integer snap.
+        ("median:k1=3|3,k2=3|5", "config median:3x3 appears twice in the grid"),
+        ("bilateral:ss=0.5:0.5:3,sr=1,k=5", "config bilateral:ss=0.5,sr=1,k=5 appears twice"),
+        ("median:k1=3|3.0000000001,k2=5", "config median:3x5 appears twice"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_grid(grid)
+
+
+def test_dis_grid_rejects_repeated_configs():
+    with pytest.raises(ValueError, match=re.escape("config median:5x3 appears twice")):
+        dis_grid("median", {"k1": (5, 5), "k2": (3,)})
 
 
 def test_make_config_errors():

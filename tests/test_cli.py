@@ -431,6 +431,10 @@ def test_rejected_recipe_flag_is_usage_error(workspace, capsys, args, field):
         (["--grid", "bilateral:ss=0.1:1.1:0,sr=1,k=5"], "--grid"),
         (["--grid", "nope:x=1"], "--grid"),
         (["--grid", "median:k1=1|3,k1=5|7,k2=3"], "--grid: parameter 'k1' appears twice"),
+        (["--grid", "median:k1=3|3,k2=3|5"], "--grid: config median:3x3 appears twice"),
+        (["--grid", "bilateral:ss=0.5:0.5:3,sr=1,k=5"],
+         "--grid: config bilateral:ss=0.5,sr=1,k=5 appears twice"),
+        (["--grid", "median:k1=3|3.0000000001,k2=5"], "--grid: config median:3x5 appears twice"),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )

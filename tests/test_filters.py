@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from fbcompose import (
     RollingGuidance,
     apply,
     bilateral,
+    filters,
     gaussian_blur,
     joint_bilateral,
     median,
@@ -25,6 +28,7 @@ from oracles import (
     oracle_median,
     oracle_windowed_gaussian,
     reference_joint_bilateral,
+    reference_median,
 )
 from synth import synthetic_clean
 
@@ -323,6 +327,40 @@ def test_median_matches_sort_oracle_exactly():
         img = _random_image(rng, channels, lo=5, hi=8)
         for k1, k2 in ((3, 3), (3, 5), (5, 3)):
             assert np.array_equal(median(img, k1, k2).data, oracle_median(img.data, k1, k2))
+
+
+@pytest.mark.parametrize("channels", (1, 3))
+@pytest.mark.parametrize("k1, k2", ((3, 5), (5, 3)))
+@pytest.mark.parametrize(
+    "budget_rows",
+    (1.0, 3.5, 0.5),
+    ids=("one-row-bands", "bands-not-dividing-height", "row-over-budget"),
+)
+def test_median_row_bands_are_bit_identical(monkeypatch, channels, k1, k2, budget_rows):
+    # 11 rows: bands of 3 leave a last band of 2; a budget under one row
+    # still partitions one row at a time.
+    rng = np.random.default_rng(54)
+    img = Image(rng.random((channels, 11, 9)))
+    monkeypatch.setattr(filters, "_MEDIAN_BAND_BYTES", int(budget_rows * 9 * k1 * k2 * 8))
+    out = median(img, k1, k2).data
+    assert np.array_equal(out, oracle_median(img.data, k1, k2))
+    assert np.array_equal(out, reference_median(img, k1, k2).data)
+
+
+def test_median_working_set_is_bounded_by_the_band_budget():
+    # A whole-image window copy for this 7x7 median would take
+    # 2048 * 64 * 49 * 8 bytes, about 51 MB.
+    img = Image(np.random.default_rng(55).random((1, 2048, 64)))
+    median(img, 7, 7)
+    tracemalloc.start()
+    try:
+        out = median(img, 7, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    padded = (2048 + 6) * (64 + 6) * 8
+    outputs = 2 * out.data.nbytes  # the kernel's output and the Image's snapped copy
+    assert peak < filters._MEDIAN_BAND_BYTES + padded + outputs + (256 << 10)
 
 
 def test_median_rejects_even_windows():

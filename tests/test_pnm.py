@@ -1,7 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fbcompose import read_image, write_image
+from fbcompose import Image, read_image, write_image
 from fbcompose.pnm import (
     MalformedImageHeader,
     TruncatedImageData,
@@ -48,6 +52,31 @@ def test_8bit_content_round_trips_byte_exactly(tmp_path):
     out = tmp_path / "q2.pgm"
     write_image(img, out)
     assert out.read_bytes() == path.read_bytes()
+
+
+@st.composite
+def _grid_images(draw):
+    """Images of k/255 values snapped to the intensity grid, gray or colour."""
+    channels = draw(st.sampled_from([1, 3]))
+    height = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 6))
+    levels = draw(st.lists(st.integers(0, 255), min_size=channels * height * width,
+                           max_size=channels * height * width))
+    return Image(np.array(levels, dtype=np.float64).reshape(channels, height, width) / 255.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(img=_grid_images(), ascii_format=st.booleans())
+def test_write_read_round_trip_is_byte_idempotent(img, ascii_format):
+    magic = {(1, True): b"P2", (3, True): b"P3", (1, False): b"P5", (3, False): b"P6"}
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first", Path(tmp) / "second"
+        write_image(img, first, ascii_format=ascii_format)
+        back = read_image(first)
+        write_image(back, second, ascii_format=ascii_format)
+        assert first.read_bytes()[:2] == magic[img.channels, ascii_format]
+        assert back == img
+        assert second.read_bytes() == first.read_bytes()
 
 
 def test_red_pixel_scale_definition(tmp_path):
