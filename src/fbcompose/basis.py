@@ -406,14 +406,21 @@ def write_preset(configs: Sequence[FilterConfig], path) -> None:
 
 
 def read_preset(path) -> list[FilterConfig]:
-    configs = []
-    for raw in Path(path).read_text().splitlines():
+    """The configs of a preset manifest; one listed twice is an error."""
+    lines: dict[FilterConfig, int] = {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line:
-            configs.append(parse_config(line))
-    if not configs:
+        if not line:
+            continue
+        cfg = parse_config(line)
+        if cfg in lines:
+            raise ValueError(
+                f"{path}:{lineno}: config {cfg.canonical()} repeats line {lines[cfg]}"
+            )
+        lines[cfg] = lineno
+    if not lines:
         raise ValueError(f"preset {path} lists no configs")
-    return configs
+    return list(lines)
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -3,7 +3,8 @@
 The model is linear: a content branch blends the basis planes, a residual
 branch blends the residual planes source - plane, and a merge layer combines
 the content estimate with source - residual estimate.  All weights are
-shared across color channels, so a magnitude-n basis trains 2n + 5 scalars.
+shared across color channels, so a magnitude-n basis trains 2n + 5 scalars,
+held as one vector (``CompositionModel.params``).
 
 Being linear, the model is declared once, as a 3 x (n + 2) coefficient
 matrix over the columns [p_1..p_n, source, 1] whose rows give the content,
@@ -62,70 +63,65 @@ class LossWeights:
 
 
 @dataclass(frozen=True, eq=False)
-class BranchWeights:
-    """One weight per basis plane plus a scalar bias."""
-
-    weights: np.ndarray
-    bias: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.weights, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("branch weights must be a non-empty vector")
-        if not (np.all(np.isfinite(arr)) and np.isfinite(self.bias)):
-            raise ValueError("branch weights must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "weights", arr)
-        object.__setattr__(self, "bias", float(self.bias))
-
-
-@dataclass(frozen=True)
-class MergeWeights:
-    w_content: float
-    w_residual_path: float
-    bias: float
-
-    def __post_init__(self):
-        if not all(np.isfinite(v) for v in (self.w_content, self.w_residual_path, self.bias)):
-            raise ValueError("merge weights must be finite")
-
-
-@dataclass(frozen=True, eq=False)
 class CompositionModel:
-    """Learnable state plus the config list documenting its expected inputs."""
+    """The config list documenting the expected inputs plus the whole
+    learnable state, one read-only float64 vector of 2n + 5 parameters laid
+    out as [wc (n), bc, wr (n), br, w1, w2, bm]: the content weights and
+    bias, the residual weights and bias, the merge weights of the content
+    and restored outputs, and the merge bias.  ``_unpack`` is the one place
+    that slices this layout.  The constructor copies ``params``.
+    """
 
     basis_configs: tuple[FilterConfig, ...]
-    content: BranchWeights
-    residual: BranchWeights
-    merge: MergeWeights
+    params: np.ndarray
 
     def __post_init__(self):
         n = len(self.basis_configs)
         if n < 1:
             raise ValueError("model needs at least one basis config")
-        if self.content.weights.size != n or self.residual.weights.size != n:
-            raise ValueError(
-                f"branch weight lengths ({self.content.weights.size}, "
-                f"{self.residual.weights.size}) do not match {n} configs"
-            )
+        params = np.array(self.params, dtype=np.float64)
+        if params.shape != (2 * n + 5,):
+            raise ValueError(f"parameter vector length {params.size} does not match 2*{n}+5")
+        if not np.isfinite(params).all():  # name the first bad one, e.g. wr[2] or bm
+            names = ("wc", "bc", "wr", "br", "w1", "w2", "bm")
+            for name, bad in zip(names, _unpack(~np.isfinite(params))):
+                if np.any(bad):
+                    at = f"[{np.flatnonzero(bad)[0]}]" if np.ndim(bad) else ""
+                    raise ValueError(f"parameter {name}{at} must be finite")
+        params.setflags(write=False)
+        object.__setattr__(self, "basis_configs", tuple(self.basis_configs))
+        object.__setattr__(self, "params", params)
 
     @property
     def magnitude(self) -> int:
         return len(self.basis_configs)
 
 
+def _unpack(params: np.ndarray) -> tuple:
+    """(wc, bc, wr, br, w1, w2, bm) of a 2n + 5 vector: the weight vectors
+    as views, the biases and merge weights as scalars."""
+    n = (params.size - 5) // 2
+    wc, bc, wr, br = params[:n], params[n], params[n + 1 : 2 * n + 1], params[2 * n + 1]
+    return wc, bc, wr, br, params[2 * n + 2], params[2 * n + 3], params[2 * n + 4]
+
+
+def model_to_vector(model: CompositionModel) -> np.ndarray:
+    """A writable copy of ``model.params``."""
+    return model.params.copy()
+
+
+def vector_to_model(vec: np.ndarray, configs: Sequence[FilterConfig]) -> CompositionModel:
+    """``CompositionModel(configs, vec)``; ``vec`` is copied."""
+    return CompositionModel(configs, vec)
+
+
 def init_model(configs: Sequence[FilterConfig]) -> CompositionModel:
     """Uniform-average start: both branches average their planes, the merge
     splits evenly."""
     n = len(configs)
-    if n < 1:
-        raise ValueError("model needs at least one basis config")
+    uniform = np.full(n, 1.0) / n  # empty for no configs, which the model rejects
     return CompositionModel(
-        tuple(configs),
-        BranchWeights(np.full(n, 1.0 / n), 0.0),
-        BranchWeights(np.full(n, 1.0 / n), 0.0),
-        MergeWeights(0.5, 0.5, 0.0),
+        configs, np.concatenate([uniform, [0.0], uniform, [0.0, 0.5, 0.5, 0.0]])
     )
 
 
@@ -154,17 +150,17 @@ def _coefficients(model: CompositionModel) -> np.ndarray:
     """The model as one linear map: rows content, restored = source -
     residual and merged = w1*content + w2*restored + bm, over the columns
     [p_1..p_n, source, 1]."""
+    wc, bc, wr, br, w1, w2, bm = _unpack(model.params)
     n = model.magnitude
-    wr = model.residual.weights
     coeffs = np.empty((3, n + 2))
     content, restored, merged = coeffs
-    content[:n] = model.content.weights
-    content[n:] = 0.0, model.content.bias
+    content[:n] = wc
+    content[n:] = 0.0, bc
     restored[:n] = wr
-    restored[n:] = 1.0 - wr.sum(), -model.residual.bias
-    np.multiply(model.merge.w_content, content, out=merged)
-    merged += model.merge.w_residual_path * restored
-    merged[-1] += model.merge.bias
+    restored[n:] = 1.0 - wr.sum(), -br
+    np.multiply(w1, content, out=merged)
+    merged += w2 * restored
+    merged[-1] += bm
     return coeffs
 
 
@@ -249,11 +245,11 @@ def _tv_adjoint(z: np.ndarray) -> np.ndarray:
 
 def _chain(model: CompositionModel, coeffs: np.ndarray, d_coeffs: np.ndarray) -> np.ndarray:
     """The loss gradient with respect to the coefficient matrix, chained into
-    the weights in the ``model_to_vector`` layout."""
+    the parameters in the ``CompositionModel`` layout."""
     n = model.magnitude
     d_merged = d_coeffs[2]
-    merge = np.array([[model.merge.w_content], [model.merge.w_residual_path]])
-    content, restored = d_coeffs[:2] + merge * d_merged
+    _, _, _, _, w1, w2, _ = _unpack(model.params)
+    content, restored = d_coeffs[:2] + np.array([[w1], [w2]]) * d_merged
     return np.concatenate(
         [
             content[:n],
@@ -274,7 +270,7 @@ def gradients(
     tv_weight: float = 0.0,
 ) -> tuple[float, np.ndarray]:
     """Exact derivatives of ``total_loss`` w.r.t. every weight and bias,
-    as one vector in the ``model_to_vector`` layout.
+    as one vector in the ``CompositionModel`` layout.
 
     The per-pixel adjoints of the content, restored and merged outputs are
     contracted with the coefficient matrix's columns; for "l1_tv" the
@@ -361,37 +357,6 @@ def gram_gradients(
 
 
 # ---------------------------------------------------------------------------
-# Flat parameter vector (optimizer interface)
-# ---------------------------------------------------------------------------
-
-
-def model_to_vector(model: CompositionModel) -> np.ndarray:
-    """Layout: [content_w (n), content_b, residual_w (n), residual_b,
-    merge_w_content, merge_w_residual_path, merge_b]."""
-    return np.concatenate(
-        [
-            model.content.weights,
-            [model.content.bias],
-            model.residual.weights,
-            [model.residual.bias],
-            [model.merge.w_content, model.merge.w_residual_path, model.merge.bias],
-        ]
-    )
-
-
-def vector_to_model(vec: np.ndarray, configs: Sequence[FilterConfig]) -> CompositionModel:
-    n = len(configs)
-    if vec.size != 2 * n + 5:
-        raise ValueError(f"vector length {vec.size} does not match 2*{n}+5 parameters")
-    return CompositionModel(
-        tuple(configs),
-        BranchWeights(vec[:n], float(vec[n])),
-        BranchWeights(vec[n + 1 : 2 * n + 1], float(vec[2 * n + 1])),
-        MergeWeights(float(vec[2 * n + 2]), float(vec[2 * n + 3]), float(vec[2 * n + 4])),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
 
@@ -402,22 +367,13 @@ def save_model(model: CompositionModel, path, training: dict | None = None) -> N
     ``training`` records provenance (loss kind and weights, optimizer
     settings, seed); it is carried verbatim and ignored on load.
     """
+    wc, bc, wr, br, w1, w2, bm = _unpack(model.params)
     doc = {
         "format": MODEL_FORMAT,
         "configs": [cfg.canonical() for cfg in model.basis_configs],
-        "content": {
-            "weights": [float(w) for w in model.content.weights],
-            "bias": model.content.bias,
-        },
-        "residual": {
-            "weights": [float(w) for w in model.residual.weights],
-            "bias": model.residual.bias,
-        },
-        "merge": {
-            "w_content": model.merge.w_content,
-            "w_residual_path": model.merge.w_residual_path,
-            "bias": model.merge.bias,
-        },
+        "content": {"weights": wc.tolist(), "bias": float(bc)},
+        "residual": {"weights": wr.tolist(), "bias": float(br)},
+        "merge": {"w_content": float(w1), "w_residual_path": float(w2), "bias": float(bm)},
         "training": training,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
@@ -440,27 +396,27 @@ def load_model_document(path) -> dict:
 
 
 def load_model(path) -> CompositionModel:
+    """Read a ``save_model`` document.  A branch weight count that differs
+    from the config count is a ``ModelCountError``; any other bad field, a
+    non-finite weight included, is a ``ModelDocumentError``."""
     doc = load_model_document(path)
     try:
         configs = tuple(parse_config(text) for text in doc["configs"])
-        content_doc = doc["content"]
-        residual_doc = doc["residual"]
-        merge_doc = doc["merge"]
-        content = BranchWeights(np.asarray(content_doc["weights"], dtype=np.float64),
-                                float(content_doc["bias"]))
-        residual = BranchWeights(np.asarray(residual_doc["weights"], dtype=np.float64),
-                                 float(residual_doc["bias"]))
-        merge = MergeWeights(
-            float(merge_doc["w_content"]),
-            float(merge_doc["w_residual_path"]),
-            float(merge_doc["bias"]),
-        )
+        content, residual, merge = doc["content"], doc["residual"], doc["merge"]
+        wc = np.asarray(content["weights"], dtype=np.float64)
+        wr = np.asarray(residual["weights"], dtype=np.float64)
+        params = np.concatenate([
+            wc, [float(content["bias"])], wr, [float(residual["bias"])],
+            [float(merge["w_content"]), float(merge["w_residual_path"]), float(merge["bias"])],
+        ])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelDocumentError(f"malformed model document: {exc}") from exc
-    for name, branch in (("content", content), ("residual", residual)):
-        if branch.weights.size != len(configs):
+    for name, weights in (("content", wc), ("residual", wr)):
+        if weights.size != len(configs):
             raise ModelCountError(
-                f"{name} branch has {branch.weights.size} weights "
-                f"for {len(configs)} configs"
+                f"{name} branch has {weights.size} weights for {len(configs)} configs"
             )
-    return CompositionModel(configs, content, residual, merge)
+    try:
+        return CompositionModel(configs, params)
+    except ValueError as exc:
+        raise ModelDocumentError(f"malformed model document: {exc}") from exc

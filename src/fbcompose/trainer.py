@@ -160,7 +160,7 @@ class DatasetSpec:
     """Declarative pair list plus the train/validation split fraction.
 
     Manifest format (one entry per line, '#' comments, paths relative to the
-    manifest)::
+    manifest, at most one ``split`` line)::
 
         split 0.1
         pair noisy/01.pgm clean/01.pgm
@@ -177,6 +177,7 @@ class DatasetSpec:
         manifest = Path(path)
         entries: list = []
         val_fraction = 0.1
+        split_line = None
         for lineno, raw in enumerate(manifest.read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -184,6 +185,9 @@ class DatasetSpec:
             try:  # every error on a line, number parsing included, names file:line
                 tokens = shlex.split(line)
                 if tokens[0] == "split" and len(tokens) == 2:
+                    if split_line is not None:
+                        raise ValueError(f"split repeats the one on line {split_line}")
+                    split_line = lineno
                     val_fraction = float(tokens[1])
                     if not 0.0 <= val_fraction < 1.0:
                         raise ValueError("split must lie in [0, 1)")
@@ -374,7 +378,7 @@ def train(
             params, state = adam_step(params, grad_vec, state, lr)
             try:
                 model = vector_to_model(params, basis_configs)
-            except ValueError as exc:  # non-finite weights: the run diverged
+            except ValueError as exc:  # a non-finite parameter: the run diverged
                 ids = ", ".join(train_part[idx].sample_id for idx in chunk)
                 raise ValueError(
                     f"training diverged at epoch {epoch} (lr {lr!r}) "

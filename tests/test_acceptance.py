@@ -42,9 +42,7 @@ from fbcompose.cli import bench, run
 from fbcompose.filters import Gaussian, RollingGuidance
 from fbcompose.image import Image
 from fbcompose.model import (
-    BranchWeights,
     CompositionModel,
-    MergeWeights,
     model_to_vector,
     vector_to_model,
 )
@@ -143,16 +141,13 @@ def test_criterion_2_gradients_match_finite_differences():
             configs = tuple(Gaussian(0.5 + 0.05 * i) for i in range(n))
             basis = FilteredBasis(source, configs, planes)
             gt_clean = Image(rng.random((channels, h, w)))
-            model = CompositionModel(
-                configs,
-                BranchWeights(rng.normal(0, 0.7, n), float(rng.normal(0, 0.3))),
-                BranchWeights(rng.normal(0, 0.7, n), float(rng.normal(0, 0.3))),
-                MergeWeights(
-                    float(rng.normal(0.5, 0.4)),
-                    float(rng.normal(0.5, 0.4)),
-                    float(rng.normal(0, 0.3)),
-                ),
-            )
+            # Layout [wc (n), bc, wr (n), br, w1, w2, bm], drawn in that order.
+            params = np.concatenate([
+                rng.normal(0, 0.7, n), [rng.normal(0, 0.3)],
+                rng.normal(0, 0.7, n), [rng.normal(0, 0.3)],
+                [rng.normal(0.5, 0.4), rng.normal(0.5, 0.4), rng.normal(0, 0.3)],
+            ])
+            model = CompositionModel(configs, params)
             lw = LossWeights()
             _, grads = gradients(model, basis, gt_clean, lw=lw)
             fd = fd_gradients(model, basis, gt_clean, lw, "mse", 0.0)

@@ -459,6 +459,14 @@ def test_read_preset_rejects_empty(tmp_path):
         read_preset(path)
 
 
+def test_read_preset_rejects_a_config_listed_twice(tmp_path):
+    path = tmp_path / "twice.txt"
+    path.write_text("median:3x3\nmedian:3x5\n\nmedian:3x3  # again\n")
+    message = rf"^{re.escape(str(path))}:4: config median:3x3 repeats line 1$"
+    with pytest.raises(ValueError, match=message):
+        read_preset(path)
+
+
 def test_calibration_report_round_trips_through_csv(tmp_path):
     import csv
 

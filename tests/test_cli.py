@@ -225,7 +225,18 @@ def test_train_divergence_names_epoch_lr_and_samples(workspace, capsys):
     err = capsys.readouterr().err
     assert "diverged at epoch 0 (lr 1e+300)" in err
     assert "samples clean.pgm" in err
-    assert "branch weights must be finite" in err
+    assert "parameter wc[0] must be finite" in err
+    assert not out.exists()
+
+
+def test_train_rejects_a_preset_listing_a_config_twice(workspace, capsys):
+    preset = workspace / "twice.txt"
+    preset.write_text("# fbcompose preset\nmedian:3x3\nmedian:1x1\nmedian:3x3\n")
+    out = workspace / "model.cfmodel"
+    rc = run(["train", "--preset", str(preset), "--data", str(workspace / "data.txt"),
+              "--out", str(out), "--epochs", "1"])
+    assert rc == 2
+    assert f"{preset}:4: config median:3x3 repeats line 2" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,15 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fbcompose import (
-    BranchWeights,
     CompositionModel,
     Gaussian,
     Image,
     LossWeights,
     Median,
-    MergeWeights,
     build_basis,
     build_residuals,
     forward,
@@ -49,13 +49,20 @@ def _synthetic_problem(rng, n, height, width, channels=1):
     return basis, gt_clean
 
 
+def _params(wc, bc, wr, br, w1, w2, bm):
+    """The documented 2n + 5 layout, packed independently of the model code."""
+    return np.concatenate([wc, [bc], wr, [br, w1, w2, bm]])
+
+
 def _random_model(rng, configs):
     n = len(configs)
     return CompositionModel(
         tuple(configs),
-        BranchWeights(rng.normal(0, 0.6, n), float(rng.normal(0, 0.2))),
-        BranchWeights(rng.normal(0, 0.6, n), float(rng.normal(0, 0.2))),
-        MergeWeights(float(rng.normal(0.5, 0.3)), float(rng.normal(0.5, 0.3)), float(rng.normal(0, 0.2))),
+        _params(
+            rng.normal(0, 0.6, n), rng.normal(0, 0.2),
+            rng.normal(0, 0.6, n), rng.normal(0, 0.2),
+            rng.normal(0.5, 0.3), rng.normal(0.5, 0.3), rng.normal(0, 0.2),
+        ),
     )
 
 
@@ -92,10 +99,8 @@ def _relative_error(a, b):
 
 def test_init_uniform_weights():
     model = init_model(_dummy_configs(4))
-    assert np.all(model.content.weights == 0.25)
-    assert np.all(model.residual.weights == 0.25)
-    assert model.content.bias == 0.0 and model.residual.bias == 0.0
-    assert (model.merge.w_content, model.merge.w_residual_path, model.merge.bias) == (0.5, 0.5, 0.0)
+    uniform = np.full(4, 0.25)
+    assert np.array_equal(model.params, _params(uniform, 0.0, uniform, 0.0, 0.5, 0.5, 0.0))
 
 
 def test_initial_content_is_plain_mean_of_planes():
@@ -110,9 +115,7 @@ def test_model_validates_weight_lengths():
     with pytest.raises(ValueError):
         CompositionModel(
             _dummy_configs(3),
-            BranchWeights(np.ones(2), 0.0),
-            BranchWeights(np.ones(3), 0.0),
-            MergeWeights(0.5, 0.5, 0.0),
+            _params(np.ones(2), 0.0, np.ones(3), 0.0, 0.5, 0.5, 0.0),
         )
 
 
@@ -129,9 +132,7 @@ def test_forward_one_hot_selects_plane_bitwise():
         weights[hot] = 1.0
         model = CompositionModel(
             basis.configs,
-            BranchWeights(weights, 0.0),
-            BranchWeights(np.zeros(4), 0.0),
-            MergeWeights(1.0, 0.0, 0.0),
+            _params(weights, 0.0, np.zeros(4), 0.0, 1.0, 0.0, 0.0),
         )
         out = forward(model, basis)
         assert np.array_equal(out.content, basis.planes[hot].data)
@@ -143,9 +144,7 @@ def test_forward_all_zero_weights_gives_zero_merged():
     basis, _ = _synthetic_problem(rng, 2, 4, 4)
     model = CompositionModel(
         basis.configs,
-        BranchWeights(np.zeros(2), 0.0),
-        BranchWeights(np.zeros(2), 0.0),
-        MergeWeights(0.0, 0.0, 0.0),
+        _params(np.zeros(2), 0.0, np.zeros(2), 0.0, 0.0, 0.0, 0.0),
     )
     out = forward(model, basis)
     assert np.all(out.merged == 0.0)
@@ -157,9 +156,7 @@ def test_forward_constant_planes_scalar_arithmetic():
     basis = FilteredBasis(source, _dummy_configs(2), planes)
     model = CompositionModel(
         basis.configs,
-        BranchWeights(np.array([0.5, 0.5]), 0.1),
-        BranchWeights(np.zeros(2), 0.0),
-        MergeWeights(1.0, 0.0, 0.0),
+        _params(np.array([0.5, 0.5]), 0.1, np.zeros(2), 0.0, 1.0, 0.0, 0.0),
     )
     out = forward(model, basis)
     assert np.allclose(out.content, 0.5, atol=1e-12)
@@ -185,9 +182,7 @@ def test_forward_is_linear_in_planes_with_zero_biases():
     )
     model = CompositionModel(
         configs,
-        BranchWeights(rng.normal(0, 1, 3), 0.0),
-        BranchWeights(np.zeros(3), 0.0),
-        MergeWeights(1.0, 0.0, 0.0),
+        _params(rng.normal(0, 1, 3), 0.0, np.zeros(3), 0.0, 1.0, 0.0, 0.0),
     )
 
     def content_of(planes):
@@ -207,9 +202,7 @@ def test_reconstruction_consistency_through_merge():
     # With wr = 1 and br = 0 the residual branch is noisy - target.
     model = CompositionModel(
         basis.configs,
-        BranchWeights(np.zeros(1), 0.0),
-        BranchWeights(np.ones(1), 0.0),
-        MergeWeights(0.0, 1.0, 0.0),
+        _params(np.zeros(1), 0.0, np.ones(1), 0.0, 0.0, 1.0, 0.0),
     )
     out = forward(model, basis)
     assert np.array_equal(out.merged, img.data)
@@ -218,16 +211,13 @@ def test_reconstruction_consistency_through_merge():
 def _residual_stack_reference(model, basis):
     """The forward pass written over an explicit residual stack."""
     source = basis.source.data
-    content = np.tensordot(model.content.weights, basis.tensor(), axes=1) + model.content.bias
-    residual = (
-        np.tensordot(model.residual.weights, build_residuals(basis).tensor(), axes=1)
-        + model.residual.bias
-    )
-    merged = (
-        model.merge.w_content * content
-        + model.merge.w_residual_path * (source - residual)
-        + model.merge.bias
-    )
+    n, params = model.magnitude, model.params
+    wc, bc = params[:n], params[n]
+    wr, br = params[n + 1 : 2 * n + 1], params[2 * n + 1]
+    w1, w2, bm = params[2 * n + 2 :]
+    content = np.tensordot(wc, basis.tensor(), axes=1) + bc
+    residual = np.tensordot(wr, build_residuals(basis).tensor(), axes=1) + br
+    merged = w1 * content + w2 * (source - residual) + bm
     return content, residual, merged
 
 
@@ -252,9 +242,8 @@ def test_outputs_clamp_only_on_export():
     basis = FilteredBasis(source, _dummy_configs(1), (Image.constant(4, 4, 0.9),))
     model = CompositionModel(
         basis.configs,
-        BranchWeights(np.array([2.0]), 0.0),  # content = 1.8, out of range
-        BranchWeights(np.zeros(1), 0.0),
-        MergeWeights(1.0, 0.0, 0.0),
+        # content = 1.8, out of range
+        _params(np.array([2.0]), 0.0, np.zeros(1), 0.0, 1.0, 0.0, 0.0),
     )
     out = forward(model, basis)
     assert np.allclose(out.content, 1.8, atol=1e-12)
@@ -271,9 +260,7 @@ def test_total_loss_zero_at_perfect_fit():
     basis, _ = _synthetic_problem(rng, 2, 5, 5)
     model = CompositionModel(
         basis.configs,
-        BranchWeights(np.array([1.0, 0.0]), 0.0),
-        BranchWeights(np.array([1.0, 0.0]), 0.0),
-        MergeWeights(1.0, 0.0, 0.0),
+        _params(np.array([1.0, 0.0]), 0.0, np.array([1.0, 0.0]), 0.0, 1.0, 0.0, 0.0),
     )
     out = forward(model, basis)
     gt_clean = basis.planes[0]
@@ -346,9 +333,7 @@ def test_gradients_zero_at_perfect_fit():
     basis, _ = _synthetic_problem(rng, 2, 5, 5)
     model = CompositionModel(
         basis.configs,
-        BranchWeights(np.array([1.0, 0.0]), 0.0),
-        BranchWeights(np.array([1.0, 0.0]), 0.0),
-        MergeWeights(1.0, 0.0, 0.0),
+        _params(np.array([1.0, 0.0]), 0.0, np.array([1.0, 0.0]), 0.0, 1.0, 0.0, 0.0),
     )
     gt_clean = basis.planes[0]
     loss, grads = gradients(model, basis, gt_clean)
@@ -362,9 +347,7 @@ def test_gradient_single_pixel_hand_value():
     basis = FilteredBasis(source, _dummy_configs(1), (Image.constant(1, 1, 0.5),))
     model = CompositionModel(
         basis.configs,
-        BranchWeights(np.array([1.0]), 0.0),
-        BranchWeights(np.zeros(1), 0.0),
-        MergeWeights(0.0, 0.0, 0.0),
+        _params(np.array([1.0]), 0.0, np.zeros(1), 0.0, 0.0, 0.0, 0.0),
     )
     gt = Image.constant(1, 1, 0.25)
     lw = LossWeights(alpha=1.0, lam=0.0, gamma=0.0)
@@ -448,9 +431,7 @@ def test_gram_gradients_zero_at_perfect_fit():
     basis, _ = _synthetic_problem(rng, 2, 5, 5)
     model = CompositionModel(
         basis.configs,
-        BranchWeights(np.array([1.0, 0.0]), 0.0),
-        BranchWeights(np.array([1.0, 0.0]), 0.0),
-        MergeWeights(1.0, 0.0, 0.0),
+        _params(np.array([1.0, 0.0]), 0.0, np.array([1.0, 0.0]), 0.0, 1.0, 0.0, 0.0),
     )
     loss, grads = gram_gradients(model, gram_matrix(basis, basis.planes[0]))
     assert loss == 0.0
@@ -480,11 +461,7 @@ def test_save_load_round_trip_is_exact(tmp_path):
     save_model(model, path, training={"loss_kind": "mse", "alpha": 0.1})
     loaded = load_model(path)
     assert loaded.basis_configs == configs
-    assert np.array_equal(loaded.content.weights, model.content.weights)
-    assert loaded.content.bias == model.content.bias
-    assert np.array_equal(loaded.residual.weights, model.residual.weights)
-    assert loaded.residual.bias == model.residual.bias
-    assert loaded.merge == model.merge
+    assert np.array_equal(loaded.params, model.params)
 
 
 def test_load_rejects_weight_count_mismatch(tmp_path):
@@ -547,3 +524,94 @@ def test_vector_round_trip():
     assert vec.size == 2 * 4 + 5
     back = vector_to_model(vec, configs)
     assert np.array_equal(model_to_vector(back), vec)
+
+
+_GOLDEN_MODEL_TEXT = """\
+{
+  "format": "cfmodel/1",
+  "configs": [
+    "median:3x5",
+    "gauss:ss=0.30000000000000004"
+  ],
+  "content": {
+    "weights": [
+      0.30000000000000004,
+      0.3333333333333333
+    ],
+    "bias": -2.5e-07
+  },
+  "residual": {
+    "weights": [
+      -0.0,
+      1e-300
+    ],
+    "bias": 0.7071067811865476
+  },
+  "merge": {
+    "w_content": 1e+20,
+    "w_residual_path": -0.14285714285714285,
+    "bias": 12345.678901234567
+  },
+  "training": {
+    "loss_kind": "mse",
+    "alpha": 0.1,
+    "seed": 7
+  }
+}
+"""
+
+
+def test_save_model_writes_golden_bytes(tmp_path):
+    params = np.array(
+        [0.1 + 0.2, 1 / 3, -2.5e-07, -0.0, 1e-300, 0.7071067811865476, 1e20, -1 / 7,
+         12345.678901234567]
+    )
+    model = vector_to_model(params, (Median(3, 5), Gaussian(0.30000000000000004)))
+    path = tmp_path / "model.cfmodel"
+    save_model(model, path, training={"loss_kind": "mse", "alpha": 0.1, "seed": 7})
+    assert path.read_text() == _GOLDEN_MODEL_TEXT
+
+
+def test_model_copies_params_and_vector_is_a_writable_copy():
+    configs = _dummy_configs(2)
+    params = np.arange(9.0)
+    model = CompositionModel(configs, params)
+    via_vector = vector_to_model(params, configs)
+    params[:] = -1.0
+    assert np.array_equal(model.params, np.arange(9.0))
+    assert np.array_equal(via_vector.params, np.arange(9.0))
+    assert not model.params.flags.writeable
+    vec = model_to_vector(model)
+    vec[0] = 42.0
+    assert model.params[0] == 0.0
+
+
+# n = 3: wc is 0..2, bc 3, wr 4..6, br 7, then w1, w2, bm.
+@pytest.mark.parametrize(
+    "index, name",
+    [(0, "wc[0]"), (3, "bc"), (6, "wr[2]"), (7, "br"), (8, "w1"), (9, "w2"), (10, "bm")],
+)
+def test_model_names_the_nonfinite_parameter(index, name):
+    params = np.zeros(11)
+    params[-1] = np.nan  # a later non-finite value is not the one named
+    params[index] = np.nan if index % 2 else np.inf
+    with pytest.raises(ValueError, match=rf"parameter {re.escape(name)} must be finite"):
+        CompositionModel(_dummy_configs(3), params)
+
+
+def test_model_rejects_wrong_parameter_count():
+    with pytest.raises(ValueError, match="length 10 does not match 2\\*3\\+5"):
+        CompositionModel(_dummy_configs(3), np.zeros(10))
+
+
+def test_load_rejects_nan_weight_naming_the_parameter(tmp_path):
+    import json
+
+    path = tmp_path / "model.cfmodel"
+    save_model(init_model(_dummy_configs(3)), path)
+    doc = json.loads(path.read_text())
+    doc["residual"]["weights"][1] = float("nan")
+    path.write_text(json.dumps(doc))  # JSON NaN, which json.loads accepts
+    assert "NaN" in path.read_text()
+    with pytest.raises(ModelDocumentError, match=r"parameter wr\[1\] must be finite"):
+        load_model(path)

@@ -24,9 +24,7 @@ from fbcompose import (
     write_image,
 )
 from fbcompose.model import (
-    BranchWeights,
     CompositionModel,
-    MergeWeights,
     forward,
     gradients,
     init_model,
@@ -245,6 +243,15 @@ def test_dataset_manifest_number_errors_name_file_and_line(tmp_path, line):
         DatasetSpec.read(manifest)
 
 
+def test_dataset_manifest_rejects_a_repeated_split(tmp_path):
+    manifest = tmp_path / "two_splits.txt"
+    manifest.write_text("split 0.25\npair a.pgm b.pgm\n# note\nsplit 0.5\n")
+    with pytest.raises(
+        ValueError, match=rf"^{re.escape(str(manifest))}:4: split repeats the one on line 1"
+    ):
+        DatasetSpec.read(manifest)
+
+
 def test_split_validation_behavior():
     samples = _identity_suite(10, size=8)
     with warnings.catch_warnings():
@@ -289,8 +296,9 @@ def test_train_single_sample_identity_plane_recovers_unit_weight():
     img = synthetic_clean(230, width=16, height=16)
     samples = [Sample("only", img, img)]
     model, _ = train(samples, [Median(1, 1)], TrainingConfig(seed=2), val_samples=samples)
-    assert abs(model.content.weights[0] - 1.0) < 1e-2
-    assert abs(model.content.bias) < 1e-2
+    wc, bc = model.params[:2]  # n = 1: [wc[0], bc, ...]
+    assert abs(wc - 1.0) < 1e-2
+    assert abs(bc) < 1e-2
 
 
 def test_train_same_seed_bitwise_identical_history():
@@ -447,12 +455,8 @@ def test_history_csv_round_trip(tmp_path):
 def test_evaluate_perfect_model_reports_cap():
     img = synthetic_clean(250, width=16, height=16)
     samples = [Sample("p", img, img)]
-    model = CompositionModel(
-        (Median(1, 1),),
-        BranchWeights(np.ones(1), 0.0),
-        BranchWeights(np.zeros(1), 0.0),
-        MergeWeights(1.0, 0.0, 0.0),
-    )
+    # Layout [wc (n), bc, wr (n), br, w1, w2, bm] with n = 1.
+    model = CompositionModel((Median(1, 1),), np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
     report = evaluate(model, samples)
     assert report.psnr == 100.0
     assert report.ssim == pytest.approx(1.0, abs=1e-9)
@@ -467,10 +471,7 @@ def test_evaluate_one_hot_selector_matches_plane_psnr():
         weights = np.zeros(2)
         weights[hot] = 1.0
         model = CompositionModel(
-            configs,
-            BranchWeights(weights, 0.0),
-            BranchWeights(np.zeros(2), 0.0),
-            MergeWeights(1.0, 0.0, 0.0),
+            configs, np.concatenate([weights, [0.0], np.zeros(2), [0.0, 1.0, 0.0, 0.0]])
         )
         report = evaluate(model, samples)
         plane = build_basis(noisy, [configs[hot]]).planes[0]
