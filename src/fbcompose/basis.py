@@ -29,29 +29,8 @@ from .metrics import psnr
 
 
 def make_config(kind: str, params: Mapping[str, float]) -> FilterConfig:
-    """Build a FilterConfig from canonical short parameter names.
-
-    Integer parameters accept grid values within 1e-9 of an integer; a name
-    the kind does not declare is an error.
-    """
-    kind = kind.lower()
-    if kind not in filters.KINDS:
-        raise ValueError(f"unknown filter kind {kind!r}")
-    cls = filters.KINDS[kind]
-    for name in params:
-        if name not in {short for short, _, _ in cls.PARAMS}:
-            raise ValueError(f"unknown parameter {name!r} for filter kind {kind!r}")
-    values = []
-    for short, _, is_int in cls.PARAMS:
-        if short not in params:
-            raise ValueError(f"missing parameter {short!r} for filter kind {kind!r}")
-        value = float(params[short])
-        if is_int:
-            if not np.isfinite(value) or abs(value - round(value)) > 1e-9:
-                raise ValueError(f"parameter {short!r} must be an integer, got {value}")
-            value = int(round(value))
-        values.append(value)
-    return cls(*values)
+    """``FilterConfig.from_params`` of the config class named ``kind``."""
+    return filters._kind(kind).from_params(params)
 
 
 def dis_grid(kind: str, axes: Mapping[str, Sequence[float]]) -> list[FilterConfig]:
@@ -84,28 +63,25 @@ def parse_grid(spec: str) -> list[FilterConfig]:
     head, sep, body = spec.strip().partition(":")
     if not sep:
         raise ValueError(f"bad grid {spec!r}: missing ':'")
+    try:
+        fields = filters._split_fields(body)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in grid {spec!r}") from None
     axes: dict[str, tuple[float, ...]] = {}
 
     def number(text: str, parse=float):
         try:
             return parse(text)
         except ValueError:
-            raise ValueError(f"bad number {text!r} for {name!r} in grid part {part!r}") from None
-    for part in body.split(","):
-        name, eq, value = part.partition("=")
-        if not eq:
-            raise ValueError(f"bad grid {spec!r}: expected name=value, got {part!r}")
-        name = name.strip()
-        value = value.strip()
-        if name in axes:
-            raise ValueError(f"parameter {name!r} appears twice in grid {spec!r}")
+            raise ValueError(f"bad number {text!r} for {name!r} in grid part '{name}={value}'") from None
+    for name, value in fields.items():
         if "|" in value:
             axes[name] = tuple(number(v) for v in value.split("|"))
         elif ":" in value:
-            fields = value.split(":")
-            if len(fields) != 3:
-                raise ValueError(f"bad grid range {part!r}: expected lo:hi:count")
-            lo, hi, count = number(fields[0]), number(fields[1]), number(fields[2], int)
+            ends = value.split(":")
+            if len(ends) != 3:
+                raise ValueError(f"bad grid range '{name}={value}': expected lo:hi:count")
+            lo, hi, count = number(ends[0]), number(ends[1]), number(ends[2], int)
             if lo > hi:
                 raise ValueError(f"range {name}: lo {lo} > hi {hi}")
             if count < 1:
@@ -378,12 +354,7 @@ def median_preset() -> list[FilterConfig]:
 
 def rgf_preset() -> list[FilterConfig]:
     """Eight rolling-guidance combinations: sr x ss x iterations, window 9."""
-    return [
-        filters.RollingGuidance(sigma_range=sr, sigma_spatial=ss, window=9, iterations=t)
-        for sr in (0.2, 0.5)
-        for ss in (3.0, 6.0)
-        for t in (2, 4)
-    ]
+    return parse_grid("rgf:sr=0.2|0.5,ss=3|6,k=9,t=2|4")
 
 
 BUILTIN_PRESETS: dict[str, Callable[[], list[FilterConfig]]] = {
@@ -406,13 +377,17 @@ def write_preset(configs: Sequence[FilterConfig], path) -> None:
 
 
 def read_preset(path) -> list[FilterConfig]:
-    """The configs of a preset manifest; one listed twice is an error."""
+    """The configs of a preset manifest; a malformed config or one listed
+    twice is an error naming the file and line."""
     lines: dict[FilterConfig, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        cfg = parse_config(line)
+        try:
+            cfg = parse_config(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         if cfg in lines:
             raise ValueError(
                 f"{path}:{lineno}: config {cfg.canonical()} repeats line {lines[cfg]}"

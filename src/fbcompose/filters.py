@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import ClassVar, Hashable, Sequence
+from typing import ClassVar, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,9 +41,9 @@ class FilterConfig:
     Each subclass declares its kind once: ``KIND`` names it, ``PARAMS`` lists
     its ``(short name, attribute, is-integer)`` fields in canonical order
     (which is also constructor order), and ``apply`` calls its kernel.  The
-    canonical form, ``parse_config`` and ``basis.make_config`` all derive
-    from that declaration.  ``apply`` names its kernel as a module global
-    looked up per call, so rebinding e.g. ``filters.bilateral`` reaches it.
+    canonical form and ``from_params``, the one builder behind ``parse_config``
+    and ``basis.parse_grid``, derive from it.  ``apply`` looks its kernel up
+    as a module global per call, so rebinding ``filters.bilateral`` reaches it.
 
     Configs whose ``group()`` keys are equal share one kernel run through
     ``apply_group``; by default every config is its own group.
@@ -68,29 +68,30 @@ class FilterConfig:
         return f"{self.KIND}:{','.join(parts)}"
 
     @classmethod
-    def parse(cls, body: str, text: str) -> "FilterConfig":
-        """Build from the ``key=value,...`` body of the canonical form."""
-        fields: dict[str, str] = {}
-        for part in body.split(","):
-            key, eq, value = part.partition("=")
-            if not eq:
-                raise ValueError(f"bad filter config {text!r}: expected key=value, got {part!r}")
-            fields[key.strip()] = value.strip()
-        expected = {short for short, _, _ in cls.PARAMS}
-        if set(fields) != expected:
-            raise ValueError(
-                f"bad filter config {text!r}: expected keys {sorted(expected)}, got {sorted(fields)}"
-            )
+    def parse(cls, body: str) -> "FilterConfig":
+        """Build from the ``name=value,...`` body of the canonical form."""
+        return cls.from_params(_split_fields(body))
+
+    @classmethod
+    def from_params(cls, params: Mapping[str, float | str]) -> "FilterConfig":
+        """Build from canonical short parameter names; an unknown or missing
+        name is an error, and an integer parameter accepts a value that float
+        rounding left just off an integer, as grid steps do."""
+        for name in params:
+            if name not in {short for short, _, _ in cls.PARAMS}:
+                raise ValueError(f"unknown parameter {name!r} for filter kind {cls.KIND!r}")
         values = []
         for short, _, is_int in cls.PARAMS:
+            if short not in params:
+                raise ValueError(f"missing parameter {short!r} for filter kind {cls.KIND!r}")
             try:
-                value = float(fields[short])
+                value = float(params[short])
             except ValueError:
-                raise ValueError(f"bad value for {short!r} in {text!r}") from None
+                raise ValueError(f"bad value {params[short]!r} for {short!r}") from None
             if is_int:
-                if not value.is_integer():
-                    raise ValueError(f"{short!r} must be an integer in {text!r}")
-                value = int(value)
+                if not math.isfinite(value) or abs(value - round(value)) > 1e-9:
+                    raise ValueError(f"parameter {short!r} must be an integer, got {value}")
+                value = int(round(value))
             values.append(value)
         return cls(*values)
 
@@ -136,10 +137,10 @@ class Median(FilterConfig):
         return f"{self.KIND}:{self.k1}x{self.k2}"
 
     @classmethod
-    def parse(cls, body: str, text: str) -> "Median":
+    def parse(cls, body: str) -> "Median":
         match = re.fullmatch(r"(\d+)x(\d+)", body.strip())
         if not match:
-            raise ValueError(f"bad median config {text!r}: expected 'median:K1xK2'")
+            raise ValueError("expected 'median:K1xK2'")
         return cls(int(match.group(1)), int(match.group(2)))
 
     def apply(self, a: Image) -> Image:
@@ -200,15 +201,38 @@ KINDS: dict[str, type[FilterConfig]] = {
 }
 
 
-def parse_config(text: str) -> FilterConfig:
-    """Parse a canonical config string back into its tagged form."""
-    head, sep, body = text.strip().partition(":")
-    if not sep:
-        raise ValueError(f"bad filter config {text!r}: missing ':'")
-    kind = head.strip().lower()
+def _split_fields(body: str) -> dict[str, str]:
+    """The ``name=value`` parts of a comma-separated body, in order.  A part
+    without ``=`` or a name given twice is an error."""
+    fields: dict[str, str] = {}
+    for part in body.split(","):
+        name, eq, value = part.partition("=")
+        name = name.strip()
+        if not eq:
+            raise ValueError(f"expected name=value, got {part!r}")
+        if name in fields:
+            raise ValueError(f"parameter {name!r} appears twice")
+        fields[name] = value.strip()
+    return fields
+
+
+def _kind(name: str) -> type[FilterConfig]:
+    """The config class a kind name (any case) declares."""
+    kind = name.strip().lower()
     if kind not in KINDS:
-        raise ValueError(f"unknown filter kind {kind!r} in {text!r}")
-    return KINDS[kind].parse(body, text)
+        raise ValueError(f"unknown filter kind {kind!r}")
+    return KINDS[kind]
+
+
+def parse_config(text: str) -> FilterConfig:
+    """Parse a canonical config string back into its tagged form; every error names it."""
+    head, sep, body = text.strip().partition(":")
+    try:
+        if not sep:
+            raise ValueError("missing ':'")
+        return _kind(head).parse(body)
+    except ValueError as exc:
+        raise ValueError(f"bad filter config {text!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -380,17 +380,19 @@ def save_model(model: CompositionModel, path, training: dict | None = None) -> N
 
 
 def load_model_document(path) -> dict:
+    """The JSON object of a model file, its format checked; every error
+    names ``path``."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise ModelDocumentError(f"not a valid model document: {exc}") from exc
+        raise ModelDocumentError(f"{path}: not a valid model document: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ModelDocumentError("model document must be a JSON object")
+        raise ModelDocumentError(f"{path}: model document must be a JSON object")
     if "format" not in doc:
-        raise ModelDocumentError("model document is missing the format field")
+        raise ModelDocumentError(f"{path}: model document is missing the format field")
     if doc["format"] != MODEL_FORMAT:
         raise ModelVersionError(
-            f"unsupported model format {doc['format']!r}, expected {MODEL_FORMAT!r}"
+            f"{path}: unsupported model format {doc['format']!r}, expected {MODEL_FORMAT!r}"
         )
     return doc
 
@@ -398,7 +400,8 @@ def load_model_document(path) -> dict:
 def load_model(path) -> CompositionModel:
     """Read a ``save_model`` document.  A branch weight count that differs
     from the config count is a ``ModelCountError``; any other bad field, a
-    non-finite weight included, is a ``ModelDocumentError``."""
+    non-finite weight or a malformed config included, is a
+    ``ModelDocumentError``.  Every error names ``path``."""
     doc = load_model_document(path)
     try:
         configs = tuple(parse_config(text) for text in doc["configs"])
@@ -410,13 +413,13 @@ def load_model(path) -> CompositionModel:
             [float(merge["w_content"]), float(merge["w_residual_path"]), float(merge["bias"])],
         ])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ModelDocumentError(f"malformed model document: {exc}") from exc
+        raise ModelDocumentError(f"{path}: malformed model document: {exc}") from exc
     for name, weights in (("content", wc), ("residual", wr)):
         if weights.size != len(configs):
             raise ModelCountError(
-                f"{name} branch has {weights.size} weights for {len(configs)} configs"
+                f"{path}: {name} branch has {weights.size} weights for {len(configs)} configs"
             )
     try:
         return CompositionModel(configs, params)
     except ValueError as exc:
-        raise ModelDocumentError(f"malformed model document: {exc}") from exc
+        raise ModelDocumentError(f"{path}: malformed model document: {exc}") from exc

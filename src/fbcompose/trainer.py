@@ -293,10 +293,12 @@ def _prepare(
 def _mean_merged_psnr(
     model: CompositionModel, samples: Sequence[Sample], bases: Sequence[FilteredBasis]
 ) -> float:
-    values = [
-        psnr(forward(model, basis).merged_image(), sample.clean)
-        for sample, basis in zip(samples, bases)
-    ]
+    values = []
+    for sample, basis in zip(samples, bases):
+        try:
+            values.append(psnr(forward(model, basis).merged_image(), sample.clean))
+        except ValueError as exc:  # finite parameters, non-finite merged output
+            raise ValueError(f"validation sample {sample.sample_id!r}: {exc}") from exc
     return float(np.mean(values))
 
 
@@ -385,7 +387,10 @@ def train(
                     f"after the step on samples {ids}: {exc}"
                 ) from exc
             losses.append(loss_sum / len(chunk))
-        val_psnr = _mean_merged_psnr(model, val_part, bases_val)
+        try:
+            val_psnr = _mean_merged_psnr(model, val_part, bases_val)
+        except ValueError as exc:
+            raise ValueError(f"training diverged at epoch {epoch} (lr {lr!r}) on {exc}") from exc
         records.append(EpochRecord(epoch, lr, float(np.mean(losses)), val_psnr))
         if val_psnr > best_psnr:
             best_psnr = val_psnr

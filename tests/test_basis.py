@@ -434,6 +434,19 @@ def test_rgf_preset_parameter_combinations():
     }
 
 
+def test_rgf_preset_order_and_canonical_strings():
+    configs = rgf_preset()
+    assert configs == [
+        RollingGuidance(sigma_range=sr, sigma_spatial=ss, window=9, iterations=t)
+        for sr in (0.2, 0.5)
+        for ss in (3.0, 6.0)
+        for t in (2, 4)
+    ]
+    assert [cfg.canonical() for cfg in configs] == [
+        f"rgf:sr={sr},ss={ss},k=9,t={t}" for sr in (0.2, 0.5) for ss in (3, 6) for t in (2, 4)
+    ]
+
+
 def test_bilateral_preset_is_from_candidate_grid():
     grid = set(bilateral_candidate_grid())
     for cfg in bilateral_preset():

@@ -91,6 +91,15 @@ def test_filter_bad_config_is_processing_error(workspace):
     assert not out.exists()  # validated before writing
 
 
+def test_filter_rejects_a_repeated_parameter(workspace, capsys):
+    out = workspace / "nope.pgm"
+    config = "bilateral:ss=0.5,ss=9,sr=1,k=3"
+    assert run(["filter", config, str(workspace / "clean.pgm"), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad filter config '{config}': parameter 'ss' appears twice" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "config, field",
     [
@@ -213,20 +222,30 @@ def test_train_builtin_preset_and_threads_identical_outputs(workspace):
 
 
 def test_train_divergence_names_epoch_lr_and_samples(workspace, capsys):
-    data = str(workspace / "data.txt")
-    out = workspace / "model.cfmodel"
-    rc = run(
-        [
-            "train", "--preset", str(workspace / "preset.txt"), "--data", data,
-            "--val", data, "--out", str(out), "--epochs", "3", "--lr0", "1e300",
-        ]
-    )
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "diverged at epoch 0 (lr 1e+300)" in err
-    assert "samples clean.pgm" in err
-    assert "parameter wc[0] must be finite" in err
-    assert not out.exists()
+    data = workspace / "data.txt"
+    one = workspace / "one.txt"
+    one.write_text(data.read_text().splitlines(keepends=True)[0])
+    for preset, manifest, epochs, named in [
+        # Two steps per epoch drive a parameter past the float range.
+        (str(workspace / "preset.txt"), data, "3",
+         ["samples clean.pgm", "parameter wc[0] must be finite"]),
+        # One step leaves finite parameters whose merged output overflows.
+        ("builtin:median8", one, "2",
+         ["on validation sample 'clean.pgm'", "image data must be finite"]),
+    ]:
+        out = workspace / "model.cfmodel"
+        rc = run(
+            [
+                "train", "--preset", preset, "--data", str(manifest),
+                "--val", str(manifest), "--out", str(out), "--epochs", epochs, "--lr0", "1e300",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "diverged at epoch 0 (lr 1e+300)" in err
+        for text in named:
+            assert text in err
+        assert not out.exists()
 
 
 def test_train_rejects_a_preset_listing_a_config_twice(workspace, capsys):
@@ -237,6 +256,26 @@ def test_train_rejects_a_preset_listing_a_config_twice(workspace, capsys):
               "--out", str(out), "--epochs", "1"])
     assert rc == 2
     assert f"{preset}:4: config median:3x3 repeats line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("median:3xq", "bad filter config 'median:3xq': expected 'median:K1xK2'"),
+        ("bilateral:ss=0.5,ss=9,sr=1,k=3", "parameter 'ss' appears twice"),
+    ],
+    ids=["malformed", "repeated-name"],
+)
+def test_train_names_the_preset_line_of_a_bad_config(workspace, capsys, line, message):
+    preset = workspace / "preset.txt"
+    preset.write_text(f"median:3x3\n{line}\n")
+    out = workspace / "model.cfmodel"
+    rc = run(["train", "--preset", str(preset), "--data", str(workspace / "data.txt"),
+              "--out", str(out), "--epochs", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "preset.txt:2: " in err and message in err
     assert not out.exists()
 
 

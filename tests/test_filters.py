@@ -17,6 +17,7 @@ from fbcompose import (
     joint_bilateral,
     median,
     parse_config,
+    parse_grid,
     rolling_guidance,
 )
 from fbcompose.filters import KINDS, gaussian_kernel1d
@@ -96,6 +97,8 @@ def test_canonical_round_trip_property(cfg):
     parsed = parse_config(text)
     assert parsed == cfg and type(parsed) is type(cfg)
     assert parsed.canonical() == text
+    if not isinstance(cfg, Median):  # every key=value form is a one-config grid
+        assert parse_grid(text) == [cfg]
 
 
 @pytest.mark.parametrize(
@@ -111,11 +114,24 @@ def test_canonical_round_trip_property(cfg):
         "gauss:ss=abc",
         "bilateral:ss=0.5,sr=1.5,k=15.5",  # integer field
         "rgf:sr=0.2,ss=3,k=9,t=inf",
+        "bilateral:ss=0.5,ss=0.9,sr=1.5,k=15",  # a name given twice
     ],
 )
 def test_parse_rejects_malformed(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         parse_config(text)
+    message = str(err.value)  # the text is named once, in front
+    assert message.startswith(f"bad filter config {text!r}: ")
+    assert message.count(repr(text)) == 1
+
+
+def test_parse_snaps_integer_fields_as_grids_do():
+    cfg = parse_config("bilateral:ss=0.5,sr=1.5,k=15.0000000001")
+    assert cfg == Bilateral(0.5, 1.5, 15) and type(cfg.window) is int
+    assert cfg.canonical() == "bilateral:ss=0.5,sr=1.5,k=15"
+    assert parse_grid("bilateral:ss=0.5,sr=1.5,k=15.0000000001") == [cfg]
+    with pytest.raises(ValueError, match="parameter 'k' must be an integer, got 15.5"):
+        parse_config("bilateral:ss=0.5,sr=1.5,k=15.5")
 
 
 @pytest.mark.parametrize(

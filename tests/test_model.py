@@ -476,6 +476,7 @@ def test_load_rejects_weight_count_mismatch(tmp_path):
     with pytest.raises(ModelCountError) as err:
         load_model(path)
     assert "2" in str(err.value) and "3" in str(err.value)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_load_rejects_missing_version(tmp_path):
@@ -487,7 +488,7 @@ def test_load_rejects_missing_version(tmp_path):
     doc = json.loads(path.read_text())
     del doc["format"]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelDocumentError):
+    with pytest.raises(ModelDocumentError, match=re.escape(f"{path}: ")):
         load_model(path)
 
 
@@ -500,15 +501,32 @@ def test_load_rejects_unknown_version(tmp_path):
     doc = json.loads(path.read_text())
     doc["format"] = "cfmodel/99"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelVersionError):
+    with pytest.raises(ModelVersionError, match=re.escape(f"{path}: ")):
         load_model(path)
 
 
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "model.cfmodel"
     path.write_text("{not json")
-    with pytest.raises(ModelDocumentError):
+    with pytest.raises(ModelDocumentError, match=re.escape(f"{path}: not a valid model document")):
         load_model(path)
+    path.write_text("[]")
+    with pytest.raises(ModelDocumentError, match=re.escape(f"{path}: model document must be")):
+        load_model(path)
+
+
+def test_load_rejects_a_config_naming_a_parameter_twice(tmp_path):
+    import json
+
+    path = tmp_path / "model.cfmodel"
+    save_model(init_model(_dummy_configs(2)), path)
+    doc = json.loads(path.read_text())
+    doc["configs"][1] = "bilateral:ss=0.5,ss=0.9,sr=1.5,k=15"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelDocumentError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: malformed model document: bad filter config")
+    assert "parameter 'ss' appears twice" in str(err.value)
 
 
 def test_model_errors_are_distinct(tmp_path):
@@ -613,5 +631,6 @@ def test_load_rejects_nan_weight_naming_the_parameter(tmp_path):
     doc["residual"]["weights"][1] = float("nan")
     path.write_text(json.dumps(doc))  # JSON NaN, which json.loads accepts
     assert "NaN" in path.read_text()
-    with pytest.raises(ModelDocumentError, match=r"parameter wr\[1\] must be finite"):
+    with pytest.raises(ModelDocumentError, match=r"parameter wr\[1\] must be finite") as err:
         load_model(path)
+    assert str(err.value).startswith(f"{path}: ")
