@@ -117,16 +117,12 @@ def _ordered_map(fn: Callable, items: list, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _by_group(fn: Callable, configs: Sequence[FilterConfig], threads: int) -> list:
-    """Map ``fn`` over the index lists of configs sharing a ``FilterConfig.group``
-    (first-seen order) and merge its {index: result} dicts into config order."""
+def _groups(configs: Sequence[FilterConfig]) -> list[list[int]]:
+    """Index lists of the configs sharing a ``FilterConfig.group``, first-seen order."""
     groups: dict[object, list[int]] = {}
     for index, cfg in enumerate(configs):
         groups.setdefault(cfg.group(), []).append(index)
-    results: dict[int, object] = {}
-    for found in _ordered_map(fn, list(groups.values()), threads):
-        results.update(found)
-    return [results[i] for i in range(len(configs))]
+    return list(groups.values())
 
 
 def calibrate(
@@ -144,7 +140,7 @@ def calibrate(
     if not calib_pairs:
         raise ValueError("no calibration pairs")
 
-    def score_group(indices: list[int]) -> dict[int, float]:
+    def score_group(indices: list[int]) -> list[float]:
         group = [candidates[i] for i in indices]
         try:
             per_pair = [
@@ -154,10 +150,13 @@ def calibrate(
         except Exception as exc:
             names = "; ".join(cfg.canonical() for cfg in group)
             raise CalibrationError(f"calibration failed for {names}: {exc}") from exc
-        return {i: float(np.mean(values)) for i, values in zip(indices, zip(*per_pair))}
+        return [float(np.mean(values)) for values in zip(*per_pair)]
 
-    scores = _by_group(score_group, candidates, threads)
-    ranked = [Candidate(cfg, score) for cfg, score in zip(candidates, scores)]
+    groups = _groups(candidates)
+    scores: dict[int, float] = {}
+    for indices, found in zip(groups, _ordered_map(score_group, groups, threads)):
+        scores.update(zip(indices, found))
+    ranked = [Candidate(cfg, scores[i]) for i, cfg in enumerate(candidates)]
     ranked.sort(key=lambda cand: cand.score)
     return ranked
 
@@ -285,7 +284,7 @@ def build_basis(
     configs = tuple(configs)
     stack = np.empty((len(configs), *source.shape))
 
-    def one(indices: list[int]) -> dict[int, None]:
+    def one(indices: list[int]) -> None:
         misses = [
             i for i in indices if cache is None or cache.get(source, configs[i], stack[i]) is None
         ]
@@ -295,9 +294,8 @@ def build_basis(
                 stack[i] = plane.data
                 if cache is not None:
                     cache.put(source, cfg, plane)
-        return dict.fromkeys(indices)  # the planes are already in their slots
 
-    _by_group(one, configs, threads)
+    _ordered_map(one, _groups(configs), threads)
     return FilteredBasis._over(source, configs, stack)
 
 

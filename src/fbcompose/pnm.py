@@ -6,6 +6,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,36 +28,10 @@ class TruncatedImageData(ValueError):
 
 _MAGIC_CHANNELS = {b"P2": 1, b"P3": 3, b"P5": 1, b"P6": 3}
 _ASCII_MAGICS = {b"P2", b"P3"}
-_WHITESPACE = b" \t\n\r\x0b\x0c"
-
-
-def _tokenize(blob: bytes, start: int, count: int) -> tuple[list[bytes], int]:
-    """Collect `count` whitespace-separated tokens honoring '#' comments.
-
-    Returns the tokens and the offset of the byte right after the last one.
-    """
-    tokens: list[bytes] = []
-    i = start
-    n = len(blob)
-    while len(tokens) < count:
-        while i < n:
-            ch = blob[i : i + 1]
-            if ch in (b"#",):
-                while i < n and blob[i : i + 1] not in (b"\n", b"\r"):
-                    i += 1
-            elif ch in _WHITESPACE:
-                i += 1
-            else:
-                break
-        if i >= n:
-            raise TruncatedImageData(
-                f"file ended after {len(tokens)} of {count} expected values"
-            )
-        begin = i
-        while i < n and blob[i : i + 1] not in _WHITESPACE and blob[i : i + 1] != b"#":
-            i += 1
-        tokens.append(blob[begin:i])
-    return tokens, i
+# A comment runs from '#' to the end of its line.  The lookahead keeps a failed
+# header match from backtracking into the comment and reading its text.
+_COMMENT = re.compile(rb"#[^\n\r]*(?![^\n\r])")
+_HEADER_TOKEN = re.compile(rb"(?:\s|" + _COMMENT.pattern + rb")*([^\s#]+)")
 
 
 def _parse_int(token: bytes, what: str) -> int:
@@ -76,10 +51,14 @@ def read_image(path) -> Image:
         raise UnsupportedImageFormat(f"unsupported magic {magic!r}; expected P2/P3/P5/P6")
     channels = _MAGIC_CHANNELS[magic]
 
-    header, offset = _tokenize(blob, 2, 3)
-    width = _parse_int(header[0], "width")
-    height = _parse_int(header[1], "height")
-    maxval = _parse_int(header[2], "maxval")
+    header, offset = [], 2
+    while len(header) < 3:
+        token = _HEADER_TOKEN.match(blob, offset)
+        if token is None:
+            raise TruncatedImageData(f"file ended after {len(header)} of 3 expected values")
+        header.append(token[1])
+        offset = token.end()
+    width, height, maxval = map(_parse_int, header, ("width", "height", "maxval"))
     if width < 1 or height < 1:
         raise MalformedImageHeader(f"bad dimensions {width}x{height}")
     if maxval != 255:
@@ -87,16 +66,20 @@ def read_image(path) -> Image:
 
     total = width * height * channels
     if magic in _ASCII_MAGICS:
-        tokens, _ = _tokenize(blob, offset, total)
+        tokens = _COMMENT.sub(b" ", blob[offset:]).split()
+        if len(tokens) < total:
+            raise TruncatedImageData(
+                f"file ended after {len(tokens)} of {total} expected values"
+            )
         samples = np.empty(total, dtype=np.float64)
-        for pos, token in enumerate(tokens):
-            value = _parse_int(token, "sample")
+        for pos in range(total):
+            value = _parse_int(tokens[pos], "sample")
             if not 0 <= value <= 255:
                 raise MalformedImageHeader(f"sample {value} outside 0..255")
             samples[pos] = value
     else:
         # Binary payload starts after exactly one whitespace byte.
-        if offset >= len(blob) or blob[offset : offset + 1] not in _WHITESPACE:
+        if not blob[offset : offset + 1].isspace():
             raise MalformedImageHeader("missing whitespace before binary payload")
         payload = blob[offset + 1 : offset + 1 + total]
         if len(payload) < total:

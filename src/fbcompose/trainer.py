@@ -361,41 +361,44 @@ def train(
     best_psnr = -np.inf
     best_epoch = -1
     best_params = params.copy()
-    for epoch in range(cfg.epochs):
-        lr = lr_at(epoch, cfg)
-        if cfg.shuffle:
-            order = rng.permutation(len(train_part))
-        else:
-            order = np.arange(len(train_part))
-        losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            chunk = order[start : start + cfg.batch_size]
-            grad_vec = np.zeros_like(params)
-            loss_sum = 0.0
-            for idx in chunk:
-                loss, grads = sample_gradients(model, idx)
-                grad_vec += grads
-                loss_sum += loss
-            grad_vec /= len(chunk)
-            params, state = adam_step(params, grad_vec, state, lr)
+    # A diverging run overflows before the finite checks name it; the error
+    # is the report, so numpy's overflow warnings are not printed too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            lr = lr_at(epoch, cfg)
+            if cfg.shuffle:
+                order = rng.permutation(len(train_part))
+            else:
+                order = np.arange(len(train_part))
+            losses = []
+            for start in range(0, len(order), cfg.batch_size):
+                chunk = order[start : start + cfg.batch_size]
+                grad_vec = np.zeros_like(params)
+                loss_sum = 0.0
+                for idx in chunk:
+                    loss, grads = sample_gradients(model, idx)
+                    grad_vec += grads
+                    loss_sum += loss
+                grad_vec /= len(chunk)
+                params, state = adam_step(params, grad_vec, state, lr)
+                try:
+                    model = vector_to_model(params, basis_configs)
+                except ValueError as exc:  # a non-finite parameter: the run diverged
+                    ids = ", ".join(train_part[idx].sample_id for idx in chunk)
+                    raise ValueError(
+                        f"training diverged at epoch {epoch} (lr {lr!r}) "
+                        f"after the step on samples {ids}: {exc}"
+                    ) from exc
+                losses.append(loss_sum / len(chunk))
             try:
-                model = vector_to_model(params, basis_configs)
-            except ValueError as exc:  # a non-finite parameter: the run diverged
-                ids = ", ".join(train_part[idx].sample_id for idx in chunk)
-                raise ValueError(
-                    f"training diverged at epoch {epoch} (lr {lr!r}) "
-                    f"after the step on samples {ids}: {exc}"
-                ) from exc
-            losses.append(loss_sum / len(chunk))
-        try:
-            val_psnr = _mean_merged_psnr(model, val_part, bases_val)
-        except ValueError as exc:
-            raise ValueError(f"training diverged at epoch {epoch} (lr {lr!r}) on {exc}") from exc
-        records.append(EpochRecord(epoch, lr, float(np.mean(losses)), val_psnr))
-        if val_psnr > best_psnr:
-            best_psnr = val_psnr
-            best_epoch = epoch
-            best_params = params.copy()
+                val_psnr = _mean_merged_psnr(model, val_part, bases_val)
+            except ValueError as exc:
+                raise ValueError(f"training diverged at epoch {epoch} (lr {lr!r}) on {exc}") from exc
+            records.append(EpochRecord(epoch, lr, float(np.mean(losses)), val_psnr))
+            if val_psnr > best_psnr:
+                best_psnr = val_psnr
+                best_epoch = epoch
+                best_params = params.copy()
 
     history = TrainHistory(
         tuple(records),

@@ -248,6 +248,23 @@ def test_train_divergence_names_epoch_lr_and_samples(workspace, capsys):
         assert not out.exists()
 
 
+def test_train_divergence_prints_only_the_error(workspace):
+    # Numpy's overflow warnings on the way to a divergence are noise before
+    # the error line, so a fresh interpreter (default warning filters) shows none.
+    (workspace / "one.txt").write_text("clean clean.pgm gaussian 25\n")
+    for preset, manifest, epochs in [
+        ("preset.txt", "data.txt", "3"),
+        ("builtin:median8", "one.txt", "2"),
+    ]:
+        done = _fresh("fbcompose", [
+            "train", "--preset", preset, "--data", manifest, "--val", manifest,
+            "--out", "model.cfmodel", "--epochs", epochs, "--lr0", "1e300",
+        ], workspace)
+        assert done.returncode == 2
+        assert "RuntimeWarning" not in done.stderr
+        assert done.stderr.startswith("error: training diverged at epoch 0 (lr 1e+300)")
+
+
 def test_train_rejects_a_preset_listing_a_config_twice(workspace, capsys):
     preset = workspace / "twice.txt"
     preset.write_text("# fbcompose preset\nmedian:3x3\nmedian:1x1\nmedian:3x3\n")

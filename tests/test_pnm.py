@@ -154,3 +154,45 @@ def test_errors_are_distinct_types():
     assert not issubclass(UnsupportedImageFormat, MalformedImageHeader)
     assert not issubclass(MalformedImageHeader, TruncatedImageData)
     assert not issubclass(TruncatedImageData, UnsupportedImageFormat)
+
+
+_SPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+_COMMENT = st.builds(
+    lambda text, end: b"#" + text.encode() + end,
+    st.text(" 0123456789#x", max_size=6),
+    st.sampled_from([b"\n", b"\r", b"\r\n"]),
+)
+_SEPARATOR = st.lists(st.one_of(_SPACE, _COMMENT), min_size=1, max_size=3).map(b"".join)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(img=_grid_images(), data=st.data())
+def test_ascii_layout_reads_through_whitespace_and_comments(img, data):
+    # Every gap of a P2/P3 file, header and samples alike, takes any mix of the
+    # six whitespace bytes and line comments; a comment right after a token
+    # ends it.  Cut short, the file names how many values it held, and the
+    # digits of a trailing comment are not values.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "img"
+        write_image(img, path, ascii_format=True)
+        tokens = path.read_bytes().split()  # magic, width, height, maxval, samples
+        gaps = data.draw(st.lists(_SEPARATOR, min_size=len(tokens), max_size=len(tokens)))
+        decorated = [token + gap for token, gap in zip(tokens, gaps)]
+        path.write_bytes(b"".join(decorated))
+        assert read_image(path) == img
+
+        kept = data.draw(st.integers(1, len(tokens) - 1))
+        tail = data.draw(st.sampled_from([b"", b" "])) + b"# 7 8 9"
+        tail += data.draw(st.sampled_from([b"", b"\n", b"\r", b"\r\n"]))
+        path.write_bytes(b"".join(decorated[: kept - 1]) + tokens[kept - 1] + tail)
+        total = len(tokens) - 4
+        expected = f"{kept - 1} of 3" if kept < 4 else f"{kept - 4} of {total}"
+        with pytest.raises(TruncatedImageData, match=f"^file ended after {expected} expected values$"):
+            read_image(path)
+
+
+def test_binary_payload_needs_whitespace_not_a_comment_after_maxval(tmp_path):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P5 2 2 255#c\n" + bytes(4))
+    with pytest.raises(MalformedImageHeader, match="missing whitespace before binary payload"):
+        read_image(path)

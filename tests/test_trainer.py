@@ -19,6 +19,7 @@ from fbcompose import (
     build_basis,
     evaluate,
     lr_at,
+    median_preset,
     psnr,
     train,
     write_image,
@@ -351,6 +352,16 @@ def test_train_best_model_retained_in_history():
     assert history.best_epoch == best.epoch
     assert history.best_val_psnr == best.val_psnr
     assert history.best_model.magnitude == 1
+
+
+def test_train_divergence_is_the_error_even_with_runtime_warnings_as_errors():
+    clean = synthetic_clean(300, width=16, height=16)
+    samples = [Sample("only", add_gaussian_noise(clean, 25.0, seed=1), clean)]
+    cfg = TrainingConfig(epochs=2, lr0=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="training diverged at epoch 0"):
+            train(samples, median_preset(), cfg, val_samples=samples)
 
 
 def _reference_train(samples, configs, cfg, val_samples):
