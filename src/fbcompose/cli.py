@@ -15,6 +15,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 from . import filters
@@ -90,13 +91,25 @@ def _thread_count(text: str) -> int:
     return value
 
 
-def _training_inputs(args):
+def _check_output_dirs(*paths) -> None:
+    """Fail before any input is read when an output's directory is missing
+    or the output is a directory, so a command with several outputs never
+    leaves some of them written."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"{path}: directory {Path(path).parent} does not exist")
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"{path}: is a directory")
+
+
+def _training_inputs(args, outputs):
     """Preset configs, training samples, optional validation samples, the
     manifest's validation fraction (unused with ``--val``), the training
     recipe and the plane cache shared by ``train`` and ``ablate``.
     The recipe is checked first, so a bad recipe flag is a usage error
-    whatever the data."""
+    whatever the data; then the directories of ``outputs``."""
     cfg = _training_config(args)
+    _check_output_dirs(*outputs)
     configs = _load_preset(args.preset)
     spec = DatasetSpec.read(args.data)
     samples = spec.load(args.seed)
@@ -111,7 +124,6 @@ def _training_config(args) -> TrainingConfig:
     try:
         return TrainingConfig(
             epochs=args.epochs,
-            batch_size=args.batch_size,
             lr0=args.lr0,
             lr_divisor=args.lr_divisor,
             lr_period=args.lr_period,
@@ -119,7 +131,6 @@ def _training_config(args) -> TrainingConfig:
             loss_kind=args.loss,
             tv_weight=args.tv_weight,
             seed=args.seed,
-            shuffle=not args.no_shuffle,
         )
     except ValueError as exc:
         raise _UsageError(f"{args.command}: {exc}") from exc
@@ -127,7 +138,6 @@ def _training_config(args) -> TrainingConfig:
 
 def _add_training_flags(parser) -> None:
     parser.add_argument("--epochs", type=int, default=250)
-    parser.add_argument("--batch-size", type=int, default=1)
     parser.add_argument("--lr0", type=float, default=0.1)
     parser.add_argument("--lr-divisor", type=float, default=5.0)
     parser.add_argument("--lr-period", type=int, default=50)
@@ -137,7 +147,6 @@ def _add_training_flags(parser) -> None:
     parser.add_argument("--lam", type=float, default=0.1)
     parser.add_argument("--gamma", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--no-shuffle", action="store_true")
     parser.add_argument("--val", help="separate validation dataset manifest")
     parser.add_argument("--cache", help="basis plane cache directory")
 
@@ -176,6 +185,7 @@ def _cmd_calibrate(args) -> int:
             f"calibrate: --select must lie in [1, {len(candidates)}] for this grid, "
             f"got {args.select}"
         )
+    _check_output_dirs(args.out, args.report)
     samples = _load_dataset(args.pairs, args.seed)
     pairs = [(s.degraded, s.clean) for s in samples]
     scored = calibrate(candidates, pairs, threads=args.threads)
@@ -188,7 +198,9 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    configs, samples, val_samples, val_fraction, cfg, cache = _training_inputs(args)
+    configs, samples, val_samples, val_fraction, cfg, cache = _training_inputs(
+        args, (args.out, args.history)
+    )
     model, history = train(
         samples, configs, cfg, val_samples=val_samples,
         val_fraction=val_fraction, threads=args.threads, cache=cache,
@@ -201,7 +213,7 @@ def _cmd_train(args) -> int:
         "tv_weight": cfg.tv_weight,
         "adam": list(ADAM),
         "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
+        "batch_size": 1,  # one step per sample; recorded so model files keep their format
         "lr0": cfg.lr0,
         "lr_divisor": cfg.lr_divisor,
         "lr_period": cfg.lr_period,
@@ -249,7 +261,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    configs, samples, val_samples, val_fraction, cfg, cache = _training_inputs(args)
+    configs, samples, val_samples, val_fraction, cfg, cache = _training_inputs(args, (args.out,))
     report = ablate_residual(
         samples, configs, cfg, val_samples=val_samples,
         val_fraction=val_fraction, threads=args.threads, cache=cache,

@@ -21,17 +21,16 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
-def psnr(a: Image, b: Image, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB, MSE taken over all channels jointly."""
+def psnr(a: Image, b: Image) -> float:
+    """Peak signal-to-noise ratio in dB for data in [0, 1] (peak 1), MSE
+    taken over all channels jointly."""
     if a.shape != b.shape:
         raise ValueError(f"psnr: shape mismatch {a.shape} vs {b.shape}")
-    if peak <= 0:
-        raise ValueError(f"psnr: peak must be positive, got {peak}")
     diff = a.data - b.data
     mse = float(np.mean(diff * diff))
     if mse == 0.0:
         return PSNR_CAP_DB
-    return float(10.0 * np.log10(peak * peak / mse))
+    return float(10.0 * np.log10(1.0 / mse))
 
 
 def _windowed_valid(plane: np.ndarray) -> np.ndarray:

@@ -34,13 +34,12 @@ from .pnm import read_image
 class TrainingConfig:
     """Optimization recipe.
 
-    Defaults follow the standard recipe for this model family: 250 epochs,
-    batch size 1, Adam from learning rate 0.1 divided by 5 every 50 epochs,
-    loss weights (0.1, 0.1, 1.0).
+    Defaults follow the standard recipe for this model family: 250 epochs
+    of one Adam step per sample, learning rate 0.1 divided by 5 every 50
+    epochs, loss weights (0.1, 0.1, 1.0).
     """
 
     epochs: int = 250
-    batch_size: int = 1
     lr0: float = 0.1
     lr_divisor: float = 5.0
     lr_period: int = 50
@@ -48,13 +47,10 @@ class TrainingConfig:
     loss_kind: str = "mse"
     tv_weight: float = 0.0
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (self.lr0 > 0):
             raise ValueError(f"lr0 must be > 0, got {self.lr0}")
         if not (self.lr_divisor > 1):
@@ -265,7 +261,6 @@ class TrainHistory:
     records: tuple[EpochRecord, ...]
     best_epoch: int
     best_val_psnr: float
-    best_model: CompositionModel
 
 
 def history_to_csv(history: TrainHistory, path) -> None:
@@ -313,12 +308,12 @@ def train(
 ) -> tuple[CompositionModel, TrainHistory]:
     """Adam-train a composition model; returns (final_model, history).
 
-    One optimizer step per ``batch_size`` samples (default 1: one step per
-    sample).  The epoch order reshuffles from the seeded generator when
-    ``cfg.shuffle``; the whole run is deterministic given (sample order,
-    cfg.seed) and independent of ``threads``, which only parallelizes basis
-    construction.  Without an explicit validation set the trailing
-    ``val_fraction`` of samples is held out.
+    One Adam step per training sample, in a permutation drawn each epoch
+    from the generator seeded with ``cfg.seed``; the whole run is
+    deterministic given (sample order, cfg.seed) and independent of
+    ``threads``, which only parallelizes basis construction.  Without an
+    explicit validation set the trailing ``val_fraction`` of samples is held
+    out.
 
     The "mse" objective is quadratic, so each training sample is reduced to
     its ``gram_matrix`` once and every step takes ``gram_gradients`` from
@@ -360,36 +355,23 @@ def train(
     records = []
     best_psnr = -np.inf
     best_epoch = -1
-    best_params = params.copy()
     # A diverging run overflows before the finite checks name it; the error
     # is the report, so numpy's overflow warnings are not printed too.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             lr = lr_at(epoch, cfg)
-            if cfg.shuffle:
-                order = rng.permutation(len(train_part))
-            else:
-                order = np.arange(len(train_part))
             losses = []
-            for start in range(0, len(order), cfg.batch_size):
-                chunk = order[start : start + cfg.batch_size]
-                grad_vec = np.zeros_like(params)
-                loss_sum = 0.0
-                for idx in chunk:
-                    loss, grads = sample_gradients(model, idx)
-                    grad_vec += grads
-                    loss_sum += loss
-                grad_vec /= len(chunk)
-                params, state = adam_step(params, grad_vec, state, lr)
+            for idx in rng.permutation(len(train_part)):
+                loss, grads = sample_gradients(model, idx)
+                params, state = adam_step(params, grads, state, lr)
                 try:
                     model = vector_to_model(params, basis_configs)
                 except ValueError as exc:  # a non-finite parameter: the run diverged
-                    ids = ", ".join(train_part[idx].sample_id for idx in chunk)
                     raise ValueError(
                         f"training diverged at epoch {epoch} (lr {lr!r}) "
-                        f"after the step on samples {ids}: {exc}"
+                        f"after the step on samples {train_part[idx].sample_id}: {exc}"
                     ) from exc
-                losses.append(loss_sum / len(chunk))
+                losses.append(loss)
             try:
                 val_psnr = _mean_merged_psnr(model, val_part, bases_val)
             except ValueError as exc:
@@ -398,15 +380,8 @@ def train(
             if val_psnr > best_psnr:
                 best_psnr = val_psnr
                 best_epoch = epoch
-                best_params = params.copy()
 
-    history = TrainHistory(
-        tuple(records),
-        best_epoch,
-        float(best_psnr),
-        vector_to_model(best_params, basis_configs),
-    )
-    return model, history
+    return model, TrainHistory(tuple(records), best_epoch, float(best_psnr))
 
 
 def evaluate(

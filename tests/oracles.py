@@ -4,7 +4,9 @@ Each function re-derives its definition with explicit per-pixel loops and
 separately evaluated spatial/range kernels.  None of them call the library
 kernels, so agreement is meaningful evidence of correctness.  All operate
 on raw (channels, height, width) float64 arrays with clamp-to-edge borders.
-The bit-identity references at the end are the exception: see there.
+The bit-identity references near the end are the exception: see there.
+The last section solves the "mse" training objective exactly, from the
+parameter layout alone, as the optimum ``train`` is measured against.
 """
 
 import math
@@ -216,3 +218,73 @@ def reference_rolling_guidance(
     for _ in range(iterations):
         guide = reference_joint_bilateral(a, guide, sigma_spatial, sigma_range, window)
     return guide
+
+
+# ---------------------------------------------------------------------------
+# The "mse" optimum by alternating exact least squares
+# ---------------------------------------------------------------------------
+
+
+def oracle_mean_gram(bases, targets) -> np.ndarray:
+    """Mean over samples of X^T X / rows for X = [p_1..p_n, source, 1, target],
+    one row per pixel and channel: the data of the mean "mse" objective."""
+    grams = []
+    for basis, target in zip(bases, targets):
+        columns = [plane.data.ravel() for plane in basis.planes]
+        columns += [basis.source.data.ravel(), np.ones(target.data.size), target.data.ravel()]
+        x = np.stack(columns, axis=1)
+        grams.append(x.T @ x / x.shape[0])
+    return np.mean(grams, axis=0)
+
+
+def _oracle_errors(params: np.ndarray) -> np.ndarray:
+    """The content, restored and merged errors as rows over the Gram
+    columns, from the layout [wc (n), bc, wr (n), br, w1, w2, bm]."""
+    n = (params.size - 5) // 2
+    wc, bc, wr, br = params[:n], params[n], params[n + 1 : 2 * n + 1], params[2 * n + 1]
+    w1, w2, bm = params[2 * n + 2 :]
+    content = np.concatenate([wc, [0.0, bc]])
+    restored = np.concatenate([wr, [1.0 - wr.sum(), -br]])
+    merged = w1 * content + w2 * restored
+    merged[-1] += bm
+    return np.column_stack([np.stack([content, restored, merged]), np.full(3, -1.0)])
+
+
+def oracle_mse_loss(params: np.ndarray, gram: np.ndarray, weights) -> float:
+    """alpha, lam, gamma-weighted sum of the three mean squared errors."""
+    errors = _oracle_errors(params)
+    return float(np.asarray(weights) @ np.einsum("ki,ij,kj->k", errors, gram, errors))
+
+
+def _exact_block_solve(params, free, gram, weights) -> np.ndarray:
+    """Minimise over ``params[free]`` with the rest fixed; every error is
+    affine in the free block, so this is one least-squares solve."""
+    base = params.copy()
+    base[free] = 0.0
+    e0 = _oracle_errors(base)
+    slopes = []
+    for index in free:
+        unit = base.copy()
+        unit[index] = 1.0
+        slopes.append(_oracle_errors(unit) - e0)
+    slopes = np.array(slopes)  # (free, 3 errors, Gram columns)
+    weighted = np.asarray(weights)[:, None] * (slopes @ gram)
+    hessian = np.einsum("aki,bki->ab", weighted, slopes)
+    rhs = np.einsum("aki,ki->a", weighted, e0)
+    out = params.copy()
+    out[free] = np.linalg.lstsq(hessian, -rhs, rcond=None)[0]
+    return out
+
+
+def oracle_als_mse(gram: np.ndarray, weights, start: np.ndarray, iterations: int = 200) -> np.ndarray:
+    """Alternating exact least squares on the mean "mse" objective: the
+    branch parameters and bm for fixed (w1, w2), then (w1, w2, bm) for fixed
+    branches.  Neither half raises the loss."""
+    params = np.array(start, dtype=np.float64)
+    n = (params.size - 5) // 2
+    branches = [*range(2 * n + 2), 2 * n + 4]
+    merge = [2 * n + 2, 2 * n + 3, 2 * n + 4]
+    for _ in range(iterations):
+        params = _exact_block_solve(params, branches, gram, weights)
+        params = _exact_block_solve(params, merge, gram, weights)
+    return params

@@ -187,6 +187,34 @@ def test_calibrate_train_apply_eval_pipeline(workspace):
     assert (workspace / "eval.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, first, second",
+    [
+        (["train", "--preset", "{preset}", "--data", "{data}", "--epochs", "2"], "--out", "--history"),
+        (["calibrate", "--grid", "median:k1=1|3,k2=1|3", "--pairs", "{data}", "--select", "2"],
+         "--out", "--report"),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+@pytest.mark.parametrize("bad", ["missing directory", "directory"])
+def test_unwritable_second_output_writes_no_output(workspace, capsys, command, first, second, bad):
+    written = workspace / "written.out"
+    unwritable = workspace / "nodir" / "second.out" if bad == "missing directory" else workspace
+    argv = [arg.format(preset=workspace / "preset.txt", data=workspace / "data.txt") for arg in command]
+    assert run([*argv, first, str(written), second, str(unwritable)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {unwritable}: ")
+    assert not written.exists() and unwritable.exists() == (bad == "directory")
+
+
+def test_ablate_checks_its_output_directory_before_reading_data(workspace, capsys):
+    missing = workspace / "nodir" / "report.txt"
+    argv = ["ablate", "--preset", str(workspace / "preset.txt"),
+            "--data", str(workspace / "missing.txt"), "--out", str(missing)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {missing}: directory {missing.parent} does not exist\n"
+
+
 def test_train_builtin_preset_and_threads_identical_outputs(workspace):
     # Determinism across --threads: identical model bytes and outputs.
     paths = []
@@ -468,6 +496,8 @@ def test_nonpositive_threads_is_usage_error(workspace, capsys, args, threads):
         (["train", "--loss", "l1_tv", "--tv-weight", "inf"], "tv_weight"),
         (["ablate", "--epochs", "0"], "epochs"),
         (["ablate", "--tv-weight", "0.5"], "tv_weight"),
+        (["train", "--batch-size", "2"], "--batch-size"),  # removed: one step per sample
+        (["train", "--no-shuffle"], "--no-shuffle"),  # removed: the order is always seeded
         (["bench", "--reps", "2"], "--reps"),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,

@@ -42,12 +42,6 @@ def test_psnr_shape_mismatch_names_both_shapes():
     assert "(1, 4, 4)" in str(err.value) and "(1, 4, 5)" in str(err.value)
 
 
-def test_psnr_rejects_nonpositive_peak():
-    a = Image.constant(4, 4, 0.5)
-    with pytest.raises(ValueError):
-        psnr(a, a, peak=0.0)
-
-
 def test_psnr_is_symmetric():
     rng = np.random.default_rng(11)
     for _ in range(20):

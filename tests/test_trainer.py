@@ -16,6 +16,7 @@ from fbcompose import (
     ablate_residual,
     adam_step,
     add_gaussian_noise,
+    bilateral_preset,
     build_basis,
     evaluate,
     lr_at,
@@ -28,6 +29,7 @@ from fbcompose.model import (
     CompositionModel,
     forward,
     gradients,
+    gram_gradients,
     init_model,
     model_to_vector,
     vector_to_model,
@@ -41,7 +43,8 @@ from fbcompose.trainer import (
     split_validation,
 )
 
-from synth import synthetic_clean
+from oracles import oracle_als_mse, oracle_mean_gram, oracle_mse_loss
+from synth import denoising_samples, synthetic_clean
 
 
 def _identity_suite(count=8, size=16):
@@ -351,7 +354,6 @@ def test_train_best_model_retained_in_history():
     best = max(history.records, key=lambda r: r.val_psnr)
     assert history.best_epoch == best.epoch
     assert history.best_val_psnr == best.val_psnr
-    assert history.best_model.magnitude == 1
 
 
 def test_train_divergence_is_the_error_even_with_runtime_warnings_as_errors():
@@ -366,7 +368,7 @@ def test_train_divergence_is_the_error_even_with_runtime_warnings_as_errors():
 
 def _reference_train(samples, configs, cfg, val_samples):
     """The training loop written out on the pixel ``gradients``: the same
-    draw order, batching, Adam steps and validation as ``train``."""
+    draw order, one Adam step per sample and validation as ``train``."""
     bases = [build_basis(s.degraded, configs) for s in samples]
     val_bases = [build_basis(s.degraded, configs) for s in val_samples]
     params = model_to_vector(init_model(configs))
@@ -375,22 +377,14 @@ def _reference_train(samples, configs, cfg, val_samples):
     records = []
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
-        order = rng.permutation(len(samples)) if cfg.shuffle else np.arange(len(samples))
         losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            chunk = order[start : start + cfg.batch_size]
+        for idx in rng.permutation(len(samples)):
             model = vector_to_model(params, configs)
-            grad_vec = np.zeros_like(params)
-            loss_sum = 0.0
-            for idx in chunk:
-                loss, grads = gradients(
-                    model, bases[idx], samples[idx].clean, cfg.loss, cfg.loss_kind, cfg.tv_weight
-                )
-                grad_vec += grads
-                loss_sum += loss
-            grad_vec /= len(chunk)
-            params, state = adam_step(params, grad_vec, state, lr)
-            losses.append(loss_sum / len(chunk))
+            loss, grads = gradients(
+                model, bases[idx], samples[idx].clean, cfg.loss, cfg.loss_kind, cfg.tv_weight
+            )
+            params, state = adam_step(params, grads, state, lr)
+            losses.append(loss)
         model = vector_to_model(params, configs)
         val_psnr = float(np.mean([
             psnr(forward(model, basis).merged_image(), sample.clean)
@@ -408,12 +402,11 @@ def _noisy_suite(count, size, seed):
     return samples
 
 
-@pytest.mark.parametrize("batch_size", [1, 3])
-def test_train_mse_matches_pixel_gradient_reference(batch_size):
+def test_train_mse_matches_pixel_gradient_reference():
     samples = _noisy_suite(5, 16, 280)
     val = _noisy_suite(2, 16, 290)
     configs = [Median(3, 3), Gaussian(1.0), Median(1, 1)]
-    cfg = TrainingConfig(seed=12, epochs=20, batch_size=batch_size)
+    cfg = TrainingConfig(seed=12, epochs=20)
     model, history = train(samples, configs, cfg, val_samples=val)
     ref_params, ref_records = _reference_train(samples, configs, cfg, val)
     assert np.max(np.abs(model_to_vector(model) - ref_params)) <= 1e-6
@@ -423,16 +416,50 @@ def test_train_mse_matches_pixel_gradient_reference(batch_size):
         assert got.train_loss == pytest.approx(want.train_loss, rel=1e-9)
 
 
-@pytest.mark.parametrize("batch_size", [1, 3])
-def test_train_l1_tv_is_the_pixel_gradient_reference(batch_size):
+def test_train_l1_tv_is_the_pixel_gradient_reference():
     samples = _noisy_suite(5, 16, 300)
     val = _noisy_suite(2, 16, 310)
     configs = [Median(3, 3), Gaussian(1.0), Median(1, 1)]
-    cfg = TrainingConfig(seed=13, epochs=20, batch_size=batch_size, loss_kind="l1_tv", tv_weight=0.05)
+    cfg = TrainingConfig(seed=13, epochs=20, loss_kind="l1_tv", tv_weight=0.05)
     model, history = train(samples, configs, cfg, val_samples=val)
     ref_params, ref_records = _reference_train(samples, configs, cfg, val)
     assert np.array_equal(model_to_vector(model), ref_params)
     assert list(history.records) == ref_records
+
+
+# Measured on the desk suite below: the default recipe at seed 5 ends 11.1 %
+# above the optimum of the mean "mse" objective.  Never widen this margin.
+DESK_MSE_EXCESS_MARGIN = 0.115
+
+
+@pytest.fixture(scope="module")
+def desk_mse_optimum():
+    """The desk-scale training suite, its mean Gram matrix and the optimum
+    that alternating exact least squares reaches from the uniform start."""
+    samples = denoising_samples(20, seed=31, sigma255=25.0)
+    configs = bilateral_preset()
+    bases = [build_basis(s.degraded, configs) for s in samples]
+    gram = oracle_mean_gram(bases, [s.clean for s in samples])
+    lw = LossWeights()
+    weights = (lw.alpha, lw.lam, lw.gamma)
+    optimum = oracle_als_mse(gram, weights, init_model(configs).params)
+    return samples, configs, gram, weights, optimum
+
+
+def test_gram_gradients_vanish_at_the_least_squares_optimum(desk_mse_optimum):
+    _, configs, gram, weights, optimum = desk_mse_optimum
+    loss, grads = gram_gradients(CompositionModel(configs, optimum), gram)
+    assert np.max(np.abs(grads)) <= 1e-8
+    assert loss == pytest.approx(oracle_mse_loss(optimum, gram, weights), rel=1e-9)
+
+
+def test_default_recipe_train_ends_near_the_mse_optimum(desk_mse_optimum):
+    samples, configs, gram, weights, optimum = desk_mse_optimum
+    # Validation only scores epochs, so one sample of it keeps the run short.
+    model, _ = train(samples, configs, TrainingConfig(seed=5), val_samples=samples[:1])
+    best = oracle_mse_loss(optimum, gram, weights)
+    reached = oracle_mse_loss(model.params, gram, weights)
+    assert best <= reached <= (1.0 + DESK_MSE_EXCESS_MARGIN) * best
 
 
 def test_train_rejects_empty_dataset():
