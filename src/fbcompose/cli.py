@@ -1,7 +1,7 @@
 """Command-line pipeline.
 
 Subcommands: ``noise``, ``filter``, ``calibrate``, ``train``, ``apply``,
-``eval``, ``ablate``, ``bench``.  Exit codes: 0 success, 1 usage error,
+``eval``, ``ablate``.  Exit codes: 0 success, 1 usage error,
 2 data/processing error.  Diagnostics go to stderr; data goes to files or
 stdout.  ``apply`` is the parameter-free entry point: model in, image in,
 image out, no filter parameters accepted.
@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import statistics
 import sys
-import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -34,9 +31,8 @@ from .basis import (
     write_preset,
 )
 from .filters import FilterConfig, parse_config
-from .image import Image
 from .metrics import MetricReport
-from .model import LossWeights, forward, init_model, load_model, save_model
+from .model import LossWeights, forward, load_model, save_model
 from .noise import add_gaussian_noise, add_impulse_noise
 from .pnm import read_image, write_image
 from .trainer import (
@@ -102,6 +98,14 @@ def _check_output_dirs(*paths) -> None:
             raise IsADirectoryError(f"{path}: is a directory")
 
 
+def _check_output_not_input(args) -> None:
+    """A single-image command never overwrites its input: an ``output`` that
+    names the same file as ``input``, by any path or link, is a usage error."""
+    output, source = Path(args.output), Path(args.input)
+    if output.exists() and source.exists() and output.samefile(source):
+        raise _UsageError(f"{args.command}: output {args.output} is the input file")
+
+
 def _training_inputs(args, outputs):
     """Preset configs, training samples, optional validation samples, the
     manifest's validation fraction (unused with ``--val``), the training
@@ -159,6 +163,7 @@ def _add_training_flags(parser) -> None:
 def _cmd_noise(args) -> int:
     if (args.gaussian is None) == (args.impulse is None):
         raise _UsageError("noise: exactly one of --gaussian or --impulse is required")
+    _check_output_not_input(args)
     img = read_image(args.input)
     if args.gaussian is not None:
         out = add_gaussian_noise(img, args.gaussian, args.seed)
@@ -169,6 +174,7 @@ def _cmd_noise(args) -> int:
 
 
 def _cmd_filter(args) -> int:
+    _check_output_not_input(args)
     cfg = parse_config(args.config)
     img = read_image(args.input)
     write_image(filters.apply(img, cfg), args.output, ascii_format=args.ascii)
@@ -234,6 +240,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    _check_output_not_input(args)
     model = load_model(args.model)
     img = read_image(args.input)
     basis = build_basis(img, model.basis_configs, threads=args.threads)
@@ -249,6 +256,7 @@ def _print_report(report: MetricReport) -> None:
 
 
 def _cmd_eval(args) -> int:
+    _check_output_dirs(args.csv)
     model = load_model(args.model)
     samples = _load_dataset(args.data, args.seed)
     cache = FBCache(args.cache) if args.cache else None
@@ -276,85 +284,6 @@ def _cmd_ablate(args) -> int:
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# Benchmark
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """Median wall times for single filters, basis construction and forward."""
-
-    image_shape: tuple[int, int, int]
-    repetitions: int
-    single_seconds: tuple[tuple[str, float], ...]
-    fb_serial_seconds: float
-    fb_parallel_seconds: float
-    forward_seconds: float
-
-    @property
-    def magnitude(self) -> int:
-        return len(self.single_seconds)
-
-    @property
-    def linearity_ratio(self) -> float:
-        """Serial basis time over magnitude * mean single-filter time; near
-        1.0 when basis cost is linear in the number of configs.  Kinds whose
-        configs share one kernel run (``FilterConfig.group``), such as rgf,
-        read below 1."""
-        mean_single = statistics.fmean(t for _, t in self.single_seconds)
-        return self.fb_serial_seconds / (self.magnitude * mean_single)
-
-
-def bench(
-    configs: Sequence[FilterConfig],
-    image: Image,
-    repetitions: int = 5,
-    threads: int = 4,
-) -> BenchReport:
-    """Time each single filter, serial and parallel basis construction, and
-    one composition forward pass; medians over ``repetitions`` runs."""
-    if repetitions < 3:
-        raise ValueError(f"repetitions must be >= 3, got {repetitions}")
-    configs = list(configs)
-    if not configs:
-        raise ValueError("bench needs at least one config")
-
-    def timed(fn) -> float:
-        times = []
-        for _ in range(repetitions):
-            begin = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - begin)
-        return float(statistics.median(times))
-
-    singles = tuple(
-        (cfg.canonical(), timed(lambda cfg=cfg: filters.apply(image, cfg))) for cfg in configs
-    )
-    fb_serial = timed(lambda: build_basis(image, configs, threads=1))
-    fb_parallel = timed(lambda: build_basis(image, configs, threads=threads))
-    basis = build_basis(image, configs, threads=threads)
-    model = init_model(configs)
-    forward_s = timed(lambda: forward(model, basis))
-    return BenchReport(image.shape, repetitions, singles, fb_serial, fb_parallel, forward_s)
-
-
-def _cmd_bench(args) -> int:
-    if args.reps < 3:
-        raise _UsageError(f"bench: --reps must be >= 3, got {args.reps}")
-    configs = _load_preset(args.preset)
-    image = read_image(args.image)
-    report = bench(configs, image, repetitions=args.reps, threads=args.threads)
-    print(f"image {report.image_shape}, {report.repetitions} repetitions (median times)")
-    for name, seconds in report.single_seconds:
-        print(f"  {name}: {seconds:.6f} s")
-    print(f"basis serial:   {report.fb_serial_seconds:.6f} s")
-    print(f"basis parallel: {report.fb_parallel_seconds:.6f} s ({args.threads} threads)")
-    print(f"forward:        {report.forward_seconds:.6f} s")
-    print(f"linearity ratio fb/(K*single): {report.linearity_ratio:.3f}")
     return EXIT_OK
 
 
@@ -432,13 +361,6 @@ def build_parser() -> _Parser:
     p.add_argument("--threads", type=_thread_count, default=1)
     _add_training_flags(p)
     p.set_defaults(func=_cmd_ablate)
-
-    p = sub.add_parser("bench", help="time filters, basis construction and forward")
-    p.add_argument("--preset", required=True)
-    p.add_argument("--image", required=True)
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--threads", type=_thread_count, default=4)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

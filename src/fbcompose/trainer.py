@@ -369,7 +369,7 @@ def train(
                 except ValueError as exc:  # a non-finite parameter: the run diverged
                     raise ValueError(
                         f"training diverged at epoch {epoch} (lr {lr!r}) "
-                        f"after the step on samples {train_part[idx].sample_id}: {exc}"
+                        f"after the step on sample {train_part[idx].sample_id}: {exc}"
                     ) from exc
                 losses.append(loss)
             try:

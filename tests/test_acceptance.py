@@ -38,7 +38,7 @@ from fbcompose import (
     write_image,
 )
 from fbcompose.basis import FilteredBasis
-from fbcompose.cli import bench, run
+from fbcompose.cli import run
 from fbcompose.filters import Gaussian, RollingGuidance
 from fbcompose.image import Image
 from fbcompose.model import (
@@ -330,17 +330,30 @@ def test_criterion_7_thread_determinism(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _median_seconds(fn, clock, repetitions=3) -> float:
+    """Median of ``repetitions`` spans of ``fn()`` on ``clock``."""
+    spans = []
+    for _ in range(repetitions):
+        begin = clock()
+        fn()
+        spans.append(clock() - begin)
+    return float(np.median(spans))
+
+
 def test_criterion_8_cost_model_linearity():
     image = synthetic_clean(500, width=481, height=321)
     configs = bilateral_preset()
     magnitudes = (1, 3, 9)
-    serial_times = []
-    forward_seconds = None
-    for k in magnitudes:
-        report = bench(configs[:k], image, repetitions=3, threads=4)
-        serial_times.append(report.fb_serial_seconds)
-        if k == 9:
-            forward_seconds = report.forward_seconds
+    # A serial build runs in the calling thread, so its thread CPU time is
+    # the whole build and other processes do not move it.  forward's matmul
+    # runs partly in BLAS threads, so it keeps wall time.
+    serial_times = [
+        _median_seconds(lambda k=k: build_basis(image, configs[:k], threads=1), time.thread_time)
+        for k in magnitudes
+    ]
+    basis = build_basis(image, configs, threads=1)
+    model = init_model(configs)
+    forward_seconds = _median_seconds(lambda: forward(model, basis), time.perf_counter)
 
     ks = np.array(magnitudes, dtype=np.float64)
     times = np.array(serial_times)

@@ -22,7 +22,7 @@ from fbcompose import (
     write_image,
     write_preset,
 )
-from fbcompose.cli import BenchReport, bench, build_parser, run
+from fbcompose.cli import build_parser, run
 from fbcompose.model import model_to_vector
 
 from synth import synthetic_clean
@@ -215,6 +215,52 @@ def test_ablate_checks_its_output_directory_before_reading_data(workspace, capsy
     assert capsys.readouterr().err == f"error: {missing}: directory {missing.parent} does not exist\n"
 
 
+def test_eval_checks_its_csv_directory_before_reading_data(workspace, capsys):
+    model_path = workspace / "model.cfmodel"
+    save_model(init_model([Median(3, 3), Median(1, 1)]), model_path)
+    cache = workspace / "cache"
+    missing = workspace / "nodir" / "x.csv"
+    argv = ["eval", "--model", str(model_path), "--data", str(workspace / "data.txt"),
+            "--cache", str(cache), "--csv", str(missing)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {missing}: directory {missing.parent} does not exist\n"
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["noise", "--gaussian", "25"],
+        ["filter", "median:3x3"],
+        ["apply", "--model", "{model}"],
+    ],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize("spelling", ["same path", "relative path", "hard link", "symlink"])
+def test_output_naming_the_input_is_usage_error(workspace, capsys, monkeypatch, command, spelling):
+    model = workspace / "model.cfmodel"
+    save_model(init_model([Median(3, 3), Median(1, 1)]), model)
+    source = workspace / "clean.pgm"
+    before = source.read_bytes()
+    output = {
+        "same path": str(source),
+        "relative path": os.path.join(".", "sub", "..", "clean.pgm"),
+        "hard link": str(workspace / "link.pgm"),
+        "symlink": str(workspace / "symlink.pgm"),
+    }[spelling]
+    (workspace / "sub").mkdir()
+    os.link(source, workspace / "link.pgm")
+    os.symlink(source, workspace / "symlink.pgm")
+    monkeypatch.chdir(workspace)
+    argv = [arg.format(model=model) for arg in command]
+    assert run([*argv, str(source), output]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{command[0]}: output {output} is the input file\n"
+    assert source.read_bytes() == before
+
+
 def test_train_builtin_preset_and_threads_identical_outputs(workspace):
     # Determinism across --threads: identical model bytes and outputs.
     paths = []
@@ -256,7 +302,7 @@ def test_train_divergence_names_epoch_lr_and_samples(workspace, capsys):
     for preset, manifest, epochs, named in [
         # Two steps per epoch drive a parameter past the float range.
         (str(workspace / "preset.txt"), data, "3",
-         ["samples clean.pgm", "parameter wc[0] must be finite"]),
+         ["sample clean.pgm", "parameter wc[0] must be finite"]),
         # One step leaves finite parameters whose merged output overflows.
         ("builtin:median8", one, "2",
          ["on validation sample 'clean.pgm'", "image data must be finite"]),
@@ -424,35 +470,6 @@ def test_builtin_preset_names(workspace):
     assert rc == 2
 
 
-def test_bench_function_reports_structure():
-    img = synthetic_clean(310, width=24, height=24)
-    configs = [Median(3, 3), Median(1, 1)]
-    report = bench(configs, img, repetitions=3, threads=2)
-    assert isinstance(report, BenchReport)
-    assert report.magnitude == 2
-    assert len(report.single_seconds) == 2
-    assert report.fb_serial_seconds > 0
-    assert report.fb_parallel_seconds > 0
-    assert report.forward_seconds > 0
-    assert report.linearity_ratio > 0
-    with pytest.raises(ValueError):
-        bench(configs, img, repetitions=2)
-
-
-def test_bench_subcommand(workspace, capsys):
-    rc = run(
-        [
-            "bench",
-            "--preset", str(workspace / "preset.txt"),
-            "--image", str(workspace / "clean.pgm"),
-            "--reps", "3",
-        ]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "linearity ratio" in out
-
-
 @pytest.mark.parametrize("threads", ["0", "-2"])
 @pytest.mark.parametrize(
     "args",
@@ -463,7 +480,6 @@ def test_bench_subcommand(workspace, capsys):
         ["apply", "--model", "{model}", "{clean}", "{out}"],
         ["eval", "--model", "{model}", "--data", "{data}", "--csv", "{out}"],
         ["ablate", "--preset", "{preset}", "--data", "{data}", "--epochs", "1", "--out", "{out}"],
-        ["bench", "--preset", "{preset}", "--image", "{clean}", "--reps", "3"],
     ],
     ids=lambda args: args[0],
 )
@@ -498,17 +514,13 @@ def test_nonpositive_threads_is_usage_error(workspace, capsys, args, threads):
         (["ablate", "--tv-weight", "0.5"], "tv_weight"),
         (["train", "--batch-size", "2"], "--batch-size"),  # removed: one step per sample
         (["train", "--no-shuffle"], "--no-shuffle"),  # removed: the order is always seeded
-        (["bench", "--reps", "2"], "--reps"),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )
 def test_rejected_recipe_flag_is_usage_error(workspace, capsys, args, field):
     out = workspace / "out.txt"
-    if args[0] == "bench":
-        inputs = ["--preset", str(workspace / "preset.txt"), "--image", str(workspace / "clean.pgm")]
-    else:
-        inputs = ["--preset", str(workspace / "preset.txt"), "--data", str(workspace / "data.txt"),
-                  "--out", str(out)]
+    inputs = ["--preset", str(workspace / "preset.txt"), "--data", str(workspace / "data.txt"),
+              "--out", str(out)]
     assert run([args[0], *inputs, *args[1:]]) == 1
     assert field in capsys.readouterr().err
     assert not out.exists()
