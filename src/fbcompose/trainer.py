@@ -16,6 +16,7 @@ from .image import Image
 from .metrics import MetricReport, psnr, ssim
 from .model import (
     CompositionModel,
+    ForwardOutputs,
     LOSS_KINDS,
     LossWeights,
     forward,
@@ -269,32 +270,109 @@ def history_to_csv(history: TrainHistory, path) -> None:
 
 
 def _prepare(
-    samples: Sequence[Sample],
-    configs: Sequence[FilterConfig],
-    threads: int,
-    cache: FBCache | None,
-    reduce: Callable[[FilteredBasis, Image], object] | None = None,
+    samples: Sequence[Sample], configs: Sequence[FilterConfig], threads: int, cache: FBCache | None,
+    reduce: Callable[[Sample, FilteredBasis], object] | None = None,
 ) -> list:
     """One basis over each sample's degraded image, in sample order.  With
-    ``reduce``, ``reduce(basis, clean)`` is kept instead and the basis freed."""
+    ``reduce``, ``reduce(sample, basis)`` is kept instead and the basis freed."""
 
     def one(sample: Sample):
         basis = build_basis(sample.degraded, configs, threads=1, cache=cache)
-        return basis if reduce is None else reduce(basis, sample.clean)
+        return basis if reduce is None else reduce(sample, basis)
 
     return _ordered_map(one, list(samples), threads)
 
 
-def _mean_merged_psnr(
-    model: CompositionModel, samples: Sequence[Sample], bases: Sequence[FilteredBasis]
+def _prepare_training(
+    samples: Sequence[Sample], configs: Sequence[FilterConfig], cfg: TrainingConfig,
+    val_samples: Sequence[Sample] | None, val_fraction: float, threads: int, cache: FBCache | None,
+) -> tuple[list, list, list, list]:
+    """Split off validation and build each distinct sample's basis once.
+    Returns the training samples, their Gram matrices (``cfg.loss_kind``
+    "mse") or bases ("l1_tv"), the validation samples and their bases."""
+    samples = list(samples)
+    if not samples:
+        raise ValueError("training needs at least one sample")
+    if val_samples is None:
+        train_part, val_part = split_validation(samples, val_fraction)
+    else:
+        train_part, val_part = samples, list(val_samples)
+        if not val_part:
+            raise ValueError("explicit validation set is empty")
+
+    def keep(sample: Sample, basis: FilteredBasis):
+        return gram_matrix(basis, sample.clean) if cfg.loss_kind == "mse" else basis
+
+    # Training-only samples go first, while no validation basis is held; the rest reuse theirs.
+    val_ids = {id(sample) for sample in val_part}
+    rest = [sample for sample in train_part if id(sample) not in val_ids]
+    built = iter(_prepare(rest, configs, threads, cache, keep))
+    val_bases = _prepare(val_part, configs, threads, cache)
+    held = {id(sample): basis for sample, basis in zip(val_part, val_bases)}
+    train_items = [keep(s, held[id(s)]) if id(s) in held else next(built) for s in train_part]
+    return train_part, train_items, val_part, val_bases
+
+
+def _mean_psnr(
+    model: CompositionModel, samples: list, bases: list, output: Callable = ForwardOutputs.merged_image
 ) -> float:
     values = []
     for sample, basis in zip(samples, bases):
         try:
-            values.append(psnr(forward(model, basis).merged_image(), sample.clean))
-        except ValueError as exc:  # finite parameters, non-finite merged output
+            values.append(psnr(output(forward(model, basis)), sample.clean))
+        except ValueError as exc:  # finite parameters, non-finite output
             raise ValueError(f"validation sample {sample.sample_id!r}: {exc}") from exc
     return float(np.mean(values))
+
+
+def _fit(
+    cfg: TrainingConfig, configs: Sequence[FilterConfig],
+    train_part: list, train_items: list, val_part: list, val_bases: list,
+) -> tuple[CompositionModel, TrainHistory]:
+    """Train's Adam loop under ``cfg`` over ``_prepare_training``'s data."""
+    if cfg.loss_kind == "mse":
+        def sample_gradients(model: CompositionModel, idx: int) -> tuple[float, np.ndarray]:
+            return gram_gradients(model, train_items[idx], cfg.loss)
+    else:
+        def sample_gradients(model: CompositionModel, idx: int) -> tuple[float, np.ndarray]:
+            item, clean = train_items[idx], train_part[idx].clean
+            return gradients(model, item, clean, cfg.loss, cfg.loss_kind, cfg.tv_weight)
+
+    model = init_model(configs)
+    params = model_to_vector(model)
+    state = AdamState.zeros(params.size)
+    rng = np.random.default_rng(cfg.seed)
+
+    records = []
+    best_psnr = -np.inf
+    best_epoch = -1
+    # A diverging run overflows before the finite checks name it; the error
+    # is the report, so numpy's overflow warnings are not printed too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            lr = lr_at(epoch, cfg)
+            losses = []
+            for idx in rng.permutation(len(train_part)):
+                loss, grads = sample_gradients(model, idx)
+                params, state = adam_step(params, grads, state, lr)
+                try:
+                    model = vector_to_model(params, configs)
+                except ValueError as exc:  # a non-finite parameter: the run diverged
+                    raise ValueError(
+                        f"training diverged at epoch {epoch} (lr {lr!r}) "
+                        f"after the step on sample {train_part[idx].sample_id}: {exc}"
+                    ) from exc
+                losses.append(loss)
+            try:
+                val_psnr = _mean_psnr(model, val_part, val_bases)
+            except ValueError as exc:
+                raise ValueError(f"training diverged at epoch {epoch} (lr {lr!r}) on {exc}") from exc
+            records.append(EpochRecord(epoch, lr, float(np.mean(losses)), val_psnr))
+            if val_psnr > best_psnr:
+                best_psnr = val_psnr
+                best_epoch = epoch
+
+    return model, TrainHistory(tuple(records), best_epoch, float(best_psnr))
 
 
 def train(
@@ -320,97 +398,28 @@ def train(
     it; "l1_tv" keeps the bases and steps with the pixel ``gradients``.
     Validation always scores the clamped merged image.
     """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("training needs at least one sample")
-    if val_samples is None:
-        train_part, val_part = split_validation(samples, val_fraction)
-    else:
-        train_part, val_part = samples, list(val_samples)
-        if not val_part:
-            raise ValueError("explicit validation set is empty")
-
-    if cfg.loss_kind == "mse":
-        grams = _prepare(train_part, basis_configs, threads, cache, gram_matrix)
-
-        def sample_gradients(model: CompositionModel, idx: int) -> tuple[float, np.ndarray]:
-            return gram_gradients(model, grams[idx], cfg.loss)
-
-    else:
-        bases_train = _prepare(train_part, basis_configs, threads, cache)
-
-        def sample_gradients(model: CompositionModel, idx: int) -> tuple[float, np.ndarray]:
-            return gradients(
-                model, bases_train[idx], train_part[idx].clean,
-                cfg.loss, cfg.loss_kind, cfg.tv_weight,
-            )
-
-    bases_val = _prepare(val_part, basis_configs, threads, cache)
-
-    model = init_model(basis_configs)
-    params = model_to_vector(model)
-    state = AdamState.zeros(params.size)
-    rng = np.random.default_rng(cfg.seed)
-
-    records = []
-    best_psnr = -np.inf
-    best_epoch = -1
-    # A diverging run overflows before the finite checks name it; the error
-    # is the report, so numpy's overflow warnings are not printed too.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            lr = lr_at(epoch, cfg)
-            losses = []
-            for idx in rng.permutation(len(train_part)):
-                loss, grads = sample_gradients(model, idx)
-                params, state = adam_step(params, grads, state, lr)
-                try:
-                    model = vector_to_model(params, basis_configs)
-                except ValueError as exc:  # a non-finite parameter: the run diverged
-                    raise ValueError(
-                        f"training diverged at epoch {epoch} (lr {lr!r}) "
-                        f"after the step on sample {train_part[idx].sample_id}: {exc}"
-                    ) from exc
-                losses.append(loss)
-            try:
-                val_psnr = _mean_merged_psnr(model, val_part, bases_val)
-            except ValueError as exc:
-                raise ValueError(f"training diverged at epoch {epoch} (lr {lr!r}) on {exc}") from exc
-            records.append(EpochRecord(epoch, lr, float(np.mean(losses)), val_psnr))
-            if val_psnr > best_psnr:
-                best_psnr = val_psnr
-                best_epoch = epoch
-
-    return model, TrainHistory(tuple(records), best_epoch, float(best_psnr))
+    data = _prepare_training(samples, basis_configs, cfg, val_samples, val_fraction, threads, cache)
+    return _fit(cfg, basis_configs, *data)
 
 
 def evaluate(
-    model: CompositionModel,
-    samples: Sequence[Sample],
-    threads: int = 1,
-    cache: FBCache | None = None,
-    output: str = "merged",
+    model: CompositionModel, samples: Sequence[Sample], threads: int = 1, cache: FBCache | None = None
 ) -> MetricReport:
     """Score the model on (degraded, clean) pairs.
 
-    Builds the basis per sample, runs the forward pass, clamps the selected
-    output and reports PSNR/SSIM per image plus the means.  ``output`` is
-    "merged" (default) or "content" (content branch only, for ablations).
-    A per-sample error names the sample.
+    Each sample's basis is built, run forward, and its clamped merged output
+    scored by PSNR/SSIM in one task, so at most ``threads`` bases are held at
+    once.  A per-sample error names the sample.
     """
-    if output not in ("merged", "content"):
-        raise ValueError(f"output must be 'merged' or 'content', got {output!r}")
-    samples = list(samples)
-    bases = _prepare(samples, model.basis_configs, threads, cache)
-    rows = []
-    for sample, basis in zip(samples, bases):
+
+    def score(sample: Sample, basis: FilteredBasis) -> tuple:
         try:
-            out = forward(model, basis)
-            img = out.merged_image() if output == "merged" else out.content_image()
-            rows.append((sample.sample_id, psnr(img, sample.clean), ssim(img, sample.clean)))
+            img = forward(model, basis).merged_image()
+            return sample.sample_id, psnr(img, sample.clean), ssim(img, sample.clean)
         except ValueError as exc:
             raise ValueError(f"sample {sample.sample_id!r}: {exc}") from exc
-    return MetricReport.from_rows(rows)
+
+    return MetricReport.from_rows(_prepare(samples, model.basis_configs, threads, cache, score))
 
 
 # ---------------------------------------------------------------------------
@@ -439,22 +448,13 @@ def ablate_residual(
     threads: int = 1,
     cache: FBCache | None = None,
 ) -> AblationReport:
-    """Train twice under identical seeds and data order: the full objective
-    and a content-only arm (lam = gamma = 0, scored on the clamped content
+    """Train twice under identical seeds and data order on one set of bases:
+    the full objective, scored by the final epoch's validation PSNR, and a
+    content-only arm (lam = gamma = 0, scored on the clamped content
     output).  Any PSNR difference is attributable to the objective."""
-    samples = list(samples)
-    if val_samples is None:
-        train_part, val_part = split_validation(samples, val_fraction)
-    else:
-        train_part, val_part = samples, list(val_samples)
-
+    data = _prepare_training(samples, basis_configs, cfg, val_samples, val_fraction, threads, cache)
     content_cfg = replace(cfg, loss=LossWeights(cfg.loss.alpha, 0.0, 0.0))
-    model_dual, _ = train(
-        train_part, basis_configs, cfg, val_samples=val_part, threads=threads, cache=cache
-    )
-    model_content, _ = train(
-        train_part, basis_configs, content_cfg, val_samples=val_part, threads=threads, cache=cache
-    )
-    dual = evaluate(model_dual, val_part, threads=threads, cache=cache, output="merged")
-    content = evaluate(model_content, val_part, threads=threads, cache=cache, output="content")
-    return AblationReport(dual.psnr, content.psnr)
+    _, dual = _fit(cfg, basis_configs, *data)
+    content_model, _ = _fit(content_cfg, basis_configs, *data)
+    content = _mean_psnr(content_model, *data[2:], ForwardOutputs.content_image)
+    return AblationReport(dual.records[-1].val_psnr, content)

@@ -396,18 +396,54 @@ def test_train_holds_out_the_manifest_split(workspace):
     assert model_to_vector(load_model(out)).tobytes() == model_to_vector(expected).tobytes()
 
 
-def test_eval_error_names_the_sample(workspace, capsys):
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_eval_error_names_the_sample(workspace, capsys, threads):
+    # Two undersized images follow the good one; the first in manifest
+    # order is named, however the pool threads finish.
     write_image(synthetic_clean(330, width=8, height=8), workspace / "small.pgm")
+    write_image(synthetic_clean(331, width=6, height=6), workspace / "tiny.pgm")
     manifest = workspace / "small.txt"
-    manifest.write_text("clean clean.pgm gaussian 25\nclean small.pgm gaussian 25\n")
+    manifest.write_text(
+        "clean clean.pgm gaussian 25\nclean small.pgm gaussian 25\nclean tiny.pgm gaussian 25\n"
+    )
     model_path = workspace / "model.cfmodel"
     save_model(init_model([Median(3, 3), Median(1, 1)]), model_path)
     csv_path = workspace / "eval.csv"
-    rc = run(["eval", "--model", str(model_path), "--data", str(manifest), "--csv", str(csv_path)])
+    argv = ["eval", "--model", str(model_path), "--data", str(manifest), "--csv", str(csv_path)]
+    rc = run(argv + ["--threads", threads])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "sample 'small.pgm': ssim: image 8x8 smaller than the 11x11 window" in err
+    assert err == "error: sample 'small.pgm': ssim: image 8x8 smaller than the 11x11 window\n"
     assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("command", ("eval", "ablate"))
+def test_eval_and_ablate_outputs_match_across_threads_and_runs(workspace, capsys, command):
+    for index in range(3):
+        write_image(synthetic_clean(340 + index, width=16, height=12), workspace / f"c{index}.pgm")
+    manifest = workspace / "four.txt"
+    manifest.write_text(
+        "split 0.4\n"
+        + "".join(f"clean c{index}.pgm gaussian 25\n" for index in range(3))
+        + "clean clean.pgm impulse 0.2\n"
+    )
+    model_path = workspace / "model.cfmodel"
+    save_model(init_model([Median(3, 3), Median(1, 1)]), model_path)
+    inputs = {path: path.read_bytes() for path in workspace.iterdir()}
+    results = []
+    for run_index, threads in enumerate(("1", "2", "1", "2")):
+        out = workspace / f"out{run_index}.txt"
+        if command == "eval":
+            argv = ["eval", "--model", str(model_path), "--data", str(manifest), "--csv", str(out)]
+        else:
+            argv = ["ablate", "--preset", str(workspace / "preset.txt"), "--data", str(manifest),
+                    "--epochs", "5", "--out", str(out)]
+        assert run(argv + ["--threads", threads]) == 0
+        captured = capsys.readouterr()
+        results.append((out.read_bytes(), captured.out, captured.err))
+    assert results[0][0] and results[0][1]
+    assert results[1:] == [results[0]] * 3
+    assert {path: path.read_bytes() for path in inputs} == inputs
 
 
 def test_apply_corrupted_model_counts_is_exit_2(workspace, capsys):

@@ -1,10 +1,13 @@
 import re
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fbcompose import (
+    AblationReport,
     AdamState,
     DatasetSpec,
     Gaussian,
@@ -34,6 +37,7 @@ from fbcompose.model import (
     model_to_vector,
     vector_to_model,
 )
+from fbcompose import trainer
 from fbcompose.trainer import (
     EpochRecord,
     PairEntry,
@@ -527,15 +531,31 @@ def test_evaluate_is_read_only_and_reports_per_image():
     assert [r[0] for r in report.per_image] == ["s0", "s1", "s2"]
 
 
-def test_evaluate_content_output_mode():
-    samples = _identity_suite(2, size=12)
-    model = init_model((Median(1, 1),))
-    merged = evaluate(model, samples, output="merged")
-    content = evaluate(model, samples, output="content")
-    assert merged.psnr == 100.0  # init merge reproduces identity plane exactly
-    assert content.psnr == 100.0
-    with pytest.raises(ValueError):
-        evaluate(model, samples, output="residual")
+@pytest.mark.parametrize("threads", (1, 2))
+def test_evaluate_working_set_does_not_grow_with_the_sample_count(threads):
+    # 16 planes over gray 64x64: a basis is 512 KiB, so holding every basis
+    # until the last is scored would add six of them (3 MiB) from 2 to 8
+    # samples.  Each rise is the least of three runs, which drops the rare
+    # one-off allocation spike of a single run.
+    configs = tuple(Gaussian(0.5 + 0.25 * k) for k in range(16))
+    model = init_model(configs)
+    samples = _noisy_suite(8, 64, 600)
+    evaluate(model, samples, threads=threads)
+
+    def peak_rise(count):
+        rises = []
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                evaluate(model, samples[:count], threads=threads)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            rises.append(peak)
+        return min(rises)
+
+    basis_bytes = 8 * len(configs) * 64 * 64
+    assert peak_rise(8) < peak_rise(2) + basis_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -557,3 +577,45 @@ def test_ablate_residual_record_fields_and_gap():
     # Identical call is reproducible (controlled experiment contract).
     again = ablate_residual(samples, configs, cfg, val_samples=samples)
     assert again == report
+
+
+def _ablation_split(case):
+    """(samples, val_samples, expected train/val parts) of one split case."""
+    samples = _noisy_suite(3, 16, 620)
+    if case == "distinct":
+        val = _noisy_suite(2, 16, 630)
+        return samples, val, samples, val
+    if case == "shared":
+        return samples, samples[1:], samples, samples[1:]
+    return samples, None, samples, samples  # 0.1 of 3 holds out none
+
+
+@pytest.mark.parametrize("loss_kind", ("mse", "l1_tv"))
+@pytest.mark.parametrize("case", ("distinct", "shared", "fallback"))
+@pytest.mark.parametrize("threads", (1, 2))
+def test_ablate_builds_each_sample_once(monkeypatch, threads, case, loss_kind):
+    samples, val_samples, train_part, val_part = _ablation_split(case)
+    configs = [Median(3, 3), Gaussian(1.0)]
+    tv_weight = 0.05 if loss_kind == "l1_tv" else 0.0
+    cfg = TrainingConfig(seed=13, epochs=6, loss_kind=loss_kind, tv_weight=tv_weight)
+    built = []
+
+    def counting_build_basis(source, *args, **kwargs):
+        built.append(id(source))
+        return build_basis(source, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "build_basis", counting_build_basis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the fallback split's warning
+        report = ablate_residual(samples, configs, cfg, val_samples=val_samples, threads=threads)
+    distinct = {id(s.degraded) for s in train_part + val_part}
+    assert sorted(built) == sorted(distinct)
+
+    dual_model, _ = train(train_part, configs, cfg, val_samples=val_part)
+    content_cfg = replace(cfg, loss=LossWeights(cfg.loss.alpha, 0.0, 0.0))
+    content_model, _ = train(train_part, configs, content_cfg, val_samples=val_part)
+    content = float(np.mean([
+        psnr(forward(content_model, build_basis(s.degraded, configs)).content_image(), s.clean)
+        for s in val_part
+    ]))
+    assert report == AblationReport(evaluate(dual_model, val_part).psnr, content)
