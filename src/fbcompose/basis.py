@@ -106,10 +106,6 @@ class Candidate:
     score: float  # mean calibration PSNR, dB
 
 
-class CalibrationError(ValueError):
-    """A candidate could not be scored; the message names the config."""
-
-
 def _ordered_map(fn: Callable, items: list, threads: int) -> list:
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -134,6 +130,7 @@ def calibrate(
     candidates that share a kernel run are scored from one basis per pair.
 
     Returns candidates sorted ascending by score; ties keep input order.
+    A group that cannot be scored is a ``ValueError`` naming its configs.
     """
     if not candidates:
         raise ValueError("no candidates to calibrate")
@@ -149,7 +146,7 @@ def calibrate(
             ]
         except Exception as exc:
             names = "; ".join(cfg.canonical() for cfg in group)
-            raise CalibrationError(f"calibration failed for {names}: {exc}") from exc
+            raise ValueError(f"calibration failed for {names}: {exc}") from exc
         return [float(np.mean(values)) for values in zip(*per_pair)]
 
     groups = _groups(candidates)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -19,7 +20,6 @@ from . import filters
 from .basis import (
     BILATERAL_CANDIDATE_GRID,
     BUILTIN_PRESETS,
-    Candidate,
     FBCache,
     build_basis,
     calibrate,
@@ -32,7 +32,7 @@ from .basis import (
 )
 from .filters import FilterConfig, parse_config
 from .metrics import MetricReport
-from .model import LossWeights, forward, load_model, save_model
+from .model import LOSS_KINDS, LossWeights, forward, load_model, save_model
 from .noise import add_gaussian_noise, add_impulse_noise
 from .pnm import read_image, write_image
 from .trainer import (
@@ -141,16 +141,18 @@ def _training_config(args) -> TrainingConfig:
 
 
 def _add_training_flags(parser) -> None:
-    parser.add_argument("--epochs", type=int, default=250)
-    parser.add_argument("--lr0", type=float, default=0.1)
-    parser.add_argument("--lr-divisor", type=float, default=5.0)
-    parser.add_argument("--lr-period", type=int, default=50)
-    parser.add_argument("--loss", choices=("mse", "l1_tv"), default="mse")
-    parser.add_argument("--tv-weight", type=float, default=0.0)
-    parser.add_argument("--alpha", type=float, default=0.1)
-    parser.add_argument("--lam", type=float, default=0.1)
-    parser.add_argument("--gamma", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=0)
+    """The recipe flags, each defaulting to the field of ``TrainingConfig()``."""
+    recipe = TrainingConfig()
+    parser.add_argument("--epochs", type=int, default=recipe.epochs)
+    parser.add_argument("--lr0", type=float, default=recipe.lr0)
+    parser.add_argument("--lr-divisor", type=float, default=recipe.lr_divisor)
+    parser.add_argument("--lr-period", type=int, default=recipe.lr_period)
+    parser.add_argument("--loss", choices=LOSS_KINDS, default=recipe.loss_kind)
+    parser.add_argument("--tv-weight", type=float, default=recipe.tv_weight)
+    parser.add_argument("--alpha", type=float, default=recipe.loss.alpha)
+    parser.add_argument("--lam", type=float, default=recipe.loss.lam)
+    parser.add_argument("--gamma", type=float, default=recipe.loss.gamma)
+    parser.add_argument("--seed", type=int, default=recipe.seed)
     parser.add_argument("--val", help="separate validation dataset manifest")
     parser.add_argument("--cache", help="basis plane cache directory")
 
@@ -375,8 +377,20 @@ def run(argv: Sequence[str]) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help paths
         return int(exc.code or 0)
+    show = warnings.showwarning
+
+    def print_warning(message, category, *where):
+        # The library's own fallbacks warn with UserWarning; the command
+        # prints them as one line, as it does errors.
+        if category is UserWarning:
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, *where)
+
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = print_warning
+            return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

@@ -32,22 +32,6 @@ MODEL_FORMAT = "cfmodel/1"
 LOSS_KINDS = ("mse", "l1_tv")
 
 
-class ModelIOError(ValueError):
-    """Base class for model file problems."""
-
-
-class ModelVersionError(ModelIOError):
-    """The document declares a format this code does not speak."""
-
-
-class ModelDocumentError(ModelIOError):
-    """The document is not valid JSON or is missing required fields."""
-
-
-class ModelCountError(ModelIOError):
-    """Weight vector lengths disagree with the config list."""
-
-
 @dataclass(frozen=True)
 class LossWeights:
     """Trade-off weights for the content, residual and merge loss terms."""
@@ -385,23 +369,22 @@ def load_model_document(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise ModelDocumentError(f"{path}: not a valid model document: {exc}") from exc
+        raise ValueError(f"{path}: not a valid model document: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ModelDocumentError(f"{path}: model document must be a JSON object")
+        raise ValueError(f"{path}: model document must be a JSON object")
     if "format" not in doc:
-        raise ModelDocumentError(f"{path}: model document is missing the format field")
+        raise ValueError(f"{path}: model document is missing the format field")
     if doc["format"] != MODEL_FORMAT:
-        raise ModelVersionError(
+        raise ValueError(
             f"{path}: unsupported model format {doc['format']!r}, expected {MODEL_FORMAT!r}"
         )
     return doc
 
 
 def load_model(path) -> CompositionModel:
-    """Read a ``save_model`` document.  A branch weight count that differs
-    from the config count is a ``ModelCountError``; any other bad field, a
-    non-finite weight or a malformed config included, is a
-    ``ModelDocumentError``.  Every error names ``path``."""
+    """Read a ``save_model`` document.  A bad field, a branch weight count
+    that differs from the config count, a non-finite weight or a malformed
+    config is a ``ValueError`` that names ``path``."""
     doc = load_model_document(path)
     try:
         configs = tuple(parse_config(text) for text in doc["configs"])
@@ -413,13 +396,13 @@ def load_model(path) -> CompositionModel:
             [float(merge["w_content"]), float(merge["w_residual_path"]), float(merge["bias"])],
         ])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ModelDocumentError(f"{path}: malformed model document: {exc}") from exc
+        raise ValueError(f"{path}: malformed model document: {exc}") from exc
     for name, weights in (("content", wc), ("residual", wr)):
         if weights.size != len(configs):
-            raise ModelCountError(
+            raise ValueError(
                 f"{path}: {name} branch has {weights.size} weights for {len(configs)} configs"
             )
     try:
         return CompositionModel(configs, params)
     except ValueError as exc:
-        raise ModelDocumentError(f"{path}: malformed model document: {exc}") from exc
+        raise ValueError(f"{path}: malformed model document: {exc}") from exc

@@ -14,18 +14,6 @@ import numpy as np
 from .image import Image
 
 
-class UnsupportedImageFormat(ValueError):
-    """The file is not one of the supported netpbm encodings."""
-
-
-class MalformedImageHeader(ValueError):
-    """A header or sample token is present but unparseable or inconsistent."""
-
-
-class TruncatedImageData(ValueError):
-    """The pixel payload ends before width*height*channels samples."""
-
-
 _MAGIC_CHANNELS = {b"P2": 1, b"P3": 3, b"P5": 1, b"P6": 3}
 _ASCII_MAGICS = {b"P2", b"P3"}
 # A comment runs from '#' to the end of its line.  The lookahead keeps a failed
@@ -34,58 +22,55 @@ _COMMENT = re.compile(rb"#[^\n\r]*(?![^\n\r])")
 _HEADER_TOKEN = re.compile(rb"(?:\s|" + _COMMENT.pattern + rb")*([^\s#]+)")
 
 
-def _parse_int(token: bytes, what: str) -> int:
+def _parse_int(token: bytes, what: str, path) -> int:
     try:
         return int(token)
     except ValueError:
-        raise MalformedImageHeader(f"non-numeric {what}: {token!r}") from None
+        raise ValueError(f"{path}: non-numeric {what}: {token!r}") from None
 
 
 def read_image(path) -> Image:
-    """Load a PGM (P2/P5) or PPM (P3/P6) file with maxval 255."""
+    """Load a PGM (P2/P5) or PPM (P3/P6) file with maxval 255.  Every error
+    names ``path``."""
     blob = Path(path).read_bytes()
     if blob[:8] == b"\x89PNG\r\n\x1a\n":
-        raise UnsupportedImageFormat("PNG input is not supported; use PGM/PPM")
+        raise ValueError(f"{path}: PNG input is not supported; use PGM/PPM")
     magic = blob[:2]
     if magic not in _MAGIC_CHANNELS:
-        raise UnsupportedImageFormat(f"unsupported magic {magic!r}; expected P2/P3/P5/P6")
+        raise ValueError(f"{path}: unsupported magic {magic!r}; expected P2/P3/P5/P6")
     channels = _MAGIC_CHANNELS[magic]
 
     header, offset = [], 2
     while len(header) < 3:
         token = _HEADER_TOKEN.match(blob, offset)
         if token is None:
-            raise TruncatedImageData(f"file ended after {len(header)} of 3 expected values")
+            raise ValueError(f"{path}: file ended after {len(header)} of 3 expected values")
         header.append(token[1])
         offset = token.end()
-    width, height, maxval = map(_parse_int, header, ("width", "height", "maxval"))
+    width, height, maxval = map(_parse_int, header, ("width", "height", "maxval"), [path] * 3)
     if width < 1 or height < 1:
-        raise MalformedImageHeader(f"bad dimensions {width}x{height}")
+        raise ValueError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
-        raise UnsupportedImageFormat(f"only maxval 255 is supported, got {maxval}")
+        raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
 
     total = width * height * channels
     if magic in _ASCII_MAGICS:
         tokens = _COMMENT.sub(b" ", blob[offset:]).split()
         if len(tokens) < total:
-            raise TruncatedImageData(
-                f"file ended after {len(tokens)} of {total} expected values"
-            )
+            raise ValueError(f"{path}: file ended after {len(tokens)} of {total} expected values")
         samples = np.empty(total, dtype=np.float64)
         for pos in range(total):
-            value = _parse_int(tokens[pos], "sample")
+            value = _parse_int(tokens[pos], "sample", path)
             if not 0 <= value <= 255:
-                raise MalformedImageHeader(f"sample {value} outside 0..255")
+                raise ValueError(f"{path}: sample {value} outside 0..255")
             samples[pos] = value
     else:
         # Binary payload starts after exactly one whitespace byte.
         if not blob[offset : offset + 1].isspace():
-            raise MalformedImageHeader("missing whitespace before binary payload")
+            raise ValueError(f"{path}: missing whitespace before binary payload")
         payload = blob[offset + 1 : offset + 1 + total]
         if len(payload) < total:
-            raise TruncatedImageData(
-                f"payload holds {len(payload)} bytes, expected {total}"
-            )
+            raise ValueError(f"{path}: payload holds {len(payload)} bytes, expected {total}")
         samples = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
 
     pixels = samples.reshape(height, width, channels)

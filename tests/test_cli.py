@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -22,7 +21,7 @@ from fbcompose import (
     write_image,
     write_preset,
 )
-from fbcompose.cli import build_parser, run
+from fbcompose.cli import _training_config, build_parser, run
 from fbcompose.model import model_to_vector
 
 from synth import synthetic_clean
@@ -113,6 +112,15 @@ def test_filter_bad_sigma_is_processing_error_naming_the_field(workspace, capsys
     out = workspace / "nope.pgm"
     assert run(["filter", config, str(workspace / "clean.pgm"), str(out)]) == 2
     assert f"{field} must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_filter_names_a_truncated_input(workspace, capsys):
+    source = workspace / "t.pgm"
+    source.write_text("P2\n2 2\n255\n1 2 3\n")
+    out = workspace / "o.pgm"
+    assert run(["filter", "gauss:ss=1", str(source), str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {source}: file ended after 3 of 4 expected values\n"
     assert not out.exists()
 
 
@@ -370,7 +378,7 @@ def test_train_names_the_preset_line_of_a_bad_config(workspace, capsys, line, me
     assert not out.exists()
 
 
-def test_train_holds_out_the_manifest_split(workspace):
+def test_train_holds_out_the_manifest_split(workspace, capsys):
     lines = ["split 0.5"]
     for i in range(4):
         write_image(synthetic_clean(320 + i, width=16, height=16), workspace / f"c{i}.pgm")
@@ -379,21 +387,52 @@ def test_train_holds_out_the_manifest_split(workspace):
     manifest.write_text("\n".join(lines) + "\n")
     preset = workspace / "preset.txt"
     out = workspace / "model.cfmodel"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = run(
-            [
-                "train", "--preset", str(preset), "--data", str(manifest),
-                "--out", str(out), "--epochs", "4", "--seed", "2",
-            ]
-        )
+    rc = run(
+        [
+            "train", "--preset", str(preset), "--data", str(manifest),
+            "--out", str(out), "--epochs", "4", "--seed", "2",
+        ]
+    )
     assert rc == 0
-    assert not [w for w in caught if "holds out none" in str(w.message)]
+    assert capsys.readouterr().err == ""  # no fallback warning: the split holds out 2
     expected, _ = train(
         DatasetSpec.read(manifest).load(2), read_preset(preset),
         TrainingConfig(epochs=4, seed=2), val_fraction=0.5,
     )
     assert model_to_vector(load_model(out)).tobytes() == model_to_vector(expected).tobytes()
+
+
+def test_train_names_a_truncated_image_of_the_manifest(workspace, capsys):
+    bad = workspace / "bad.pgm"
+    bad.write_bytes(b"P5\n16 16\n255\n" + bytes(100))
+    manifest = workspace / "pairs.txt"
+    manifest.write_text("pair clean.pgm clean.pgm\npair bad.pgm clean.pgm\n")
+    out = workspace / "model.cfmodel"
+    rc = run(["train", "--preset", str(workspace / "preset.txt"), "--data", str(manifest),
+              "--out", str(out), "--epochs", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {bad}: payload holds 100 bytes, expected 256\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ("train", "ablate"))
+def test_validation_fallback_is_one_warning_line(workspace, command):
+    # data.txt lists 2 samples, so the default 0.1 split holds out none.
+    argv = [command, "--preset", "preset.txt", "--data", "data.txt", "--epochs", "2"]
+    outputs = ["--out", "model.cfmodel"] if command == "train" else []
+    done = _fresh("fbcompose", argv + outputs, workspace)
+    assert done.returncode == 0
+    assert done.stderr == (
+        "warning: validation fraction 0.1 holds out none of 2 samples; "
+        "validating on the training set\n"
+    )
+
+
+@pytest.mark.parametrize("command", ("train", "ablate"))
+def test_training_flags_default_to_the_training_config(command):
+    argv = [command, "--preset", "preset.txt", "--data", "data.txt"]
+    outputs = ["--out", "model.cfmodel"] if command == "train" else []
+    assert _training_config(build_parser().parse_args(argv + outputs)) == TrainingConfig()
 
 
 @pytest.mark.parametrize("threads", ("1", "2"))
