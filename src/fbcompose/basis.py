@@ -297,13 +297,9 @@ def build_basis(
 
 
 def build_residuals(basis: FilteredBasis) -> ResidualBasis:
-    source = basis.source.data
-    planes = []
-    for plane in basis.planes:
-        residual = source - plane.data  # exact: both operands on the grid
-        residual.setflags(write=False)
-        planes.append(residual)
-    return ResidualBasis(tuple(planes))
+    stack = basis.source.data - basis.tensor()  # exact: both operands on the grid
+    stack.setflags(write=False)
+    return ResidualBasis(tuple(stack))
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +367,20 @@ def write_preset(configs: Sequence[FilterConfig], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _read_text(path) -> str:
+    """The text of a manifest or model file; one that is not UTF-8 is a
+    ValueError naming it."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def read_preset(path) -> list[FilterConfig]:
     """The configs of a preset manifest; a malformed config or one listed
     twice is an error naming the file and line."""
     lines: dict[FilterConfig, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -441,7 +446,7 @@ class FBCache:
         path = self.path_for(img, cfg)
         try:
             arr = np.load(path)
-        except (OSError, ValueError):
+        except (OSError, ValueError, EOFError):  # missing, corrupt or empty
             return None
         if arr.shape != img.shape:
             return None

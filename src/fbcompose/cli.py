@@ -87,39 +87,47 @@ def _thread_count(text: str) -> int:
     return value
 
 
-def _check_output_dirs(*paths) -> None:
-    """Fail before any input is read when an output's directory is missing
-    or the output is a directory, so a command with several outputs never
-    leaves some of them written."""
-    for path in filter(None, paths):
-        if not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"{path}: directory {Path(path).parent} does not exist")
-        if Path(path).is_dir():
-            raise IsADirectoryError(f"{path}: is a directory")
+_OUTPUTS = ("output", "out", "history", "report", "csv")
 
 
-def _check_output_not_input(args) -> None:
-    """A single-image command never overwrites its input: an ``output`` that
-    names the same file as ``input``, by any path or link, is a usage error."""
-    output, source = Path(args.output), Path(args.input)
-    if output.exists() and source.exists() and output.samefile(source):
-        raise _UsageError(f"{args.command}: output {args.output} is the input file")
+def _check_outputs(args) -> None:
+    """Fail before any input is read when an output's directory is missing or
+    it is a directory (exit 2), or it names an input or an earlier output by
+    any path or link (a usage error): so no command overwrites what it reads,
+    and one with several outputs never leaves some of them written."""
+    claimed: dict = {}  # file identity -> the argument that names it first
+    for name in ("input", "model", "preset", "data", "val", "pairs", *_OUTPUTS):
+        path = getattr(args, name, None)
+        if not path or path.startswith("builtin:"):
+            continue
+        flag, file = (name if name in ("input", "output") else f"--{name}"), Path(path)
+        key = (file.stat().st_dev, file.stat().st_ino) if file.exists() else file.resolve()
+        if name in _OUTPUTS:
+            if not file.parent.is_dir():
+                raise FileNotFoundError(f"{path}: directory {file.parent} does not exist")
+            if file.is_dir():
+                raise IsADirectoryError(f"{path}: is a directory")
+            if key in claimed:
+                raise _UsageError(f"{args.command}: {flag} {path} is the {claimed[key]} file")
+        claimed.setdefault(key, flag)
 
 
-def _training_inputs(args, outputs):
-    """Preset configs, training samples, optional validation samples, the
-    manifest's validation fraction (unused with ``--val``), the training
-    recipe and the plane cache shared by ``train`` and ``ablate``.
-    The recipe is checked first, so a bad recipe flag is a usage error
-    whatever the data; then the directories of ``outputs``."""
+def _run_training(args, run):
+    """``run(samples, configs, cfg, ...)``, that is ``train`` or
+    ``ablate_residual``, over the flags' preset, data, validation set, recipe
+    and plane cache.  The recipe is checked first, so a bad recipe flag is a
+    usage error whatever the data; then the outputs, before any data is read."""
     cfg = _training_config(args)
-    _check_output_dirs(*outputs)
+    _check_outputs(args)
     configs = _load_preset(args.preset)
     spec = DatasetSpec.read(args.data)
     samples = spec.load(args.seed)
     val_samples = _load_dataset(args.val, args.seed) if args.val else None
     cache = FBCache(args.cache) if args.cache else None
-    return configs, samples, val_samples, spec.val_fraction, cfg, cache
+    return run(
+        samples, configs, cfg, val_samples=val_samples,
+        val_fraction=spec.val_fraction, threads=args.threads, cache=cache,
+    )
 
 
 def _training_config(args) -> TrainingConfig:
@@ -165,7 +173,7 @@ def _add_training_flags(parser) -> None:
 def _cmd_noise(args) -> int:
     if (args.gaussian is None) == (args.impulse is None):
         raise _UsageError("noise: exactly one of --gaussian or --impulse is required")
-    _check_output_not_input(args)
+    _check_outputs(args)
     img = read_image(args.input)
     if args.gaussian is not None:
         out = add_gaussian_noise(img, args.gaussian, args.seed)
@@ -176,7 +184,7 @@ def _cmd_noise(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    _check_output_not_input(args)
+    _check_outputs(args)
     cfg = parse_config(args.config)
     img = read_image(args.input)
     write_image(filters.apply(img, cfg), args.output, ascii_format=args.ascii)
@@ -193,7 +201,7 @@ def _cmd_calibrate(args) -> int:
             f"calibrate: --select must lie in [1, {len(candidates)}] for this grid, "
             f"got {args.select}"
         )
-    _check_output_dirs(args.out, args.report)
+    _check_outputs(args)
     samples = _load_dataset(args.pairs, args.seed)
     pairs = [(s.degraded, s.clean) for s in samples]
     scored = calibrate(candidates, pairs, threads=args.threads)
@@ -206,13 +214,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    configs, samples, val_samples, val_fraction, cfg, cache = _training_inputs(
-        args, (args.out, args.history)
-    )
-    model, history = train(
-        samples, configs, cfg, val_samples=val_samples,
-        val_fraction=val_fraction, threads=args.threads, cache=cache,
-    )
+    model, history = _run_training(args, train)
+    cfg, best = _training_config(args), history.best
     training_info = {
         "loss_kind": cfg.loss_kind,
         "alpha": cfg.loss.alpha,
@@ -226,8 +229,8 @@ def _cmd_train(args) -> int:
         "lr_divisor": cfg.lr_divisor,
         "lr_period": cfg.lr_period,
         "seed": cfg.seed,
-        "best_epoch": history.best_epoch,
-        "best_val_psnr": history.best_val_psnr,
+        "best_epoch": best.epoch,
+        "best_val_psnr": best.val_psnr,
     }
     save_model(model, args.out, training=training_info)
     if args.history:
@@ -235,14 +238,14 @@ def _cmd_train(args) -> int:
     final = history.records[-1]
     print(
         f"trained {cfg.epochs} epochs: final loss {final.train_loss:.6g}, "
-        f"val PSNR {final.val_psnr:.2f} dB (best {history.best_val_psnr:.2f} "
-        f"at epoch {history.best_epoch}) -> {args.out}"
+        f"val PSNR {final.val_psnr:.2f} dB (best {best.val_psnr:.2f} "
+        f"at epoch {best.epoch}) -> {args.out}"
     )
     return EXIT_OK
 
 
 def _cmd_apply(args) -> int:
-    _check_output_not_input(args)
+    _check_outputs(args)
     model = load_model(args.model)
     img = read_image(args.input)
     basis = build_basis(img, model.basis_configs, threads=args.threads)
@@ -258,7 +261,7 @@ def _print_report(report: MetricReport) -> None:
 
 
 def _cmd_eval(args) -> int:
-    _check_output_dirs(args.csv)
+    _check_outputs(args)
     model = load_model(args.model)
     samples = _load_dataset(args.data, args.seed)
     cache = FBCache(args.cache) if args.cache else None
@@ -271,11 +274,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    configs, samples, val_samples, val_fraction, cfg, cache = _training_inputs(args, (args.out,))
-    report = ablate_residual(
-        samples, configs, cfg, val_samples=val_samples,
-        val_fraction=val_fraction, threads=args.threads, cache=cache,
-    )
+    report = _run_training(args, ablate_residual)
     lines = [
         f"dual_branch_psnr_db={report.dual_branch_psnr!r}",
         f"content_only_psnr_db={report.content_only_psnr!r}",

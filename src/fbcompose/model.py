@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import FilteredBasis
+from .basis import FilteredBasis, _read_text
 from .filters import FilterConfig, parse_config
 from .image import Image
 from .metrics import tv_of_array
@@ -367,7 +367,7 @@ def load_model_document(path) -> dict:
     """The JSON object of a model file, its format checked; every error
     names ``path``."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a valid model document: {exc}") from exc
     if not isinstance(doc, dict):

@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import FBCache, FilteredBasis, _ordered_map, build_basis, write_csv
+from .basis import FBCache, FilteredBasis, _ordered_map, _read_text, build_basis, write_csv
 from .filters import FilterConfig
 from .image import Image
 from .metrics import MetricReport, psnr, ssim
@@ -175,7 +175,7 @@ class DatasetSpec:
         entries: list = []
         val_fraction = 0.1
         split_line = None
-        for lineno, raw in enumerate(manifest.read_text().splitlines(), start=1):
+        for lineno, raw in enumerate(_read_text(manifest).splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -260,8 +260,11 @@ class EpochRecord:
 @dataclass(frozen=True, eq=False)
 class TrainHistory:
     records: tuple[EpochRecord, ...]
-    best_epoch: int
-    best_val_psnr: float
+
+    @property
+    def best(self) -> EpochRecord:
+        """The first record with the highest validation PSNR."""
+        return max(self.records, key=lambda record: record.val_psnr)
 
 
 def history_to_csv(history: TrainHistory, path) -> None:
@@ -288,8 +291,8 @@ def _prepare_training(
     val_samples: Sequence[Sample] | None, val_fraction: float, threads: int, cache: FBCache | None,
 ) -> tuple[list, list, list, list]:
     """Split off validation and build each distinct sample's basis once.
-    Returns the training samples, their Gram matrices (``cfg.loss_kind``
-    "mse") or bases ("l1_tv"), the validation samples and their bases."""
+    Returns the training samples, their ``step(model, lw) -> (loss, gradient)``
+    functions under ``cfg.loss_kind``, the validation samples and their bases."""
     samples = list(samples)
     if not samples:
         raise ValueError("training needs at least one sample")
@@ -300,8 +303,11 @@ def _prepare_training(
         if not val_part:
             raise ValueError("explicit validation set is empty")
 
-    def keep(sample: Sample, basis: FilteredBasis):
-        return gram_matrix(basis, sample.clean) if cfg.loss_kind == "mse" else basis
+    def keep(sample: Sample, basis: FilteredBasis) -> Callable:
+        if cfg.loss_kind == "mse":
+            gram = gram_matrix(basis, sample.clean)
+            return lambda model, lw: gram_gradients(model, gram, lw)
+        return lambda model, lw: gradients(model, basis, sample.clean, lw, cfg.loss_kind, cfg.tv_weight)
 
     # Training-only samples go first, while no validation basis is held; the rest reuse theirs.
     val_ids = {id(sample) for sample in val_part}
@@ -309,8 +315,8 @@ def _prepare_training(
     built = iter(_prepare(rest, configs, threads, cache, keep))
     val_bases = _prepare(val_part, configs, threads, cache)
     held = {id(sample): basis for sample, basis in zip(val_part, val_bases)}
-    train_items = [keep(s, held[id(s)]) if id(s) in held else next(built) for s in train_part]
-    return train_part, train_items, val_part, val_bases
+    steps = [keep(s, held[id(s)]) if id(s) in held else next(built) for s in train_part]
+    return train_part, steps, val_part, val_bases
 
 
 def _mean_psnr(
@@ -327,25 +333,16 @@ def _mean_psnr(
 
 def _fit(
     cfg: TrainingConfig, configs: Sequence[FilterConfig],
-    train_part: list, train_items: list, val_part: list, val_bases: list,
+    train_part: list, steps: list, val_part: list, val_bases: list,
 ) -> tuple[CompositionModel, TrainHistory]:
-    """Train's Adam loop under ``cfg`` over ``_prepare_training``'s data."""
-    if cfg.loss_kind == "mse":
-        def sample_gradients(model: CompositionModel, idx: int) -> tuple[float, np.ndarray]:
-            return gram_gradients(model, train_items[idx], cfg.loss)
-    else:
-        def sample_gradients(model: CompositionModel, idx: int) -> tuple[float, np.ndarray]:
-            item, clean = train_items[idx], train_part[idx].clean
-            return gradients(model, item, clean, cfg.loss, cfg.loss_kind, cfg.tv_weight)
-
+    """Train's Adam loop under ``cfg``'s schedule, seed and loss weights over
+    ``_prepare_training``'s data; the steps carry the objective."""
     model = init_model(configs)
     params = model_to_vector(model)
     state = AdamState.zeros(params.size)
     rng = np.random.default_rng(cfg.seed)
 
     records = []
-    best_psnr = -np.inf
-    best_epoch = -1
     # A diverging run overflows before the finite checks name it; the error
     # is the report, so numpy's overflow warnings are not printed too.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -353,7 +350,7 @@ def _fit(
             lr = lr_at(epoch, cfg)
             losses = []
             for idx in rng.permutation(len(train_part)):
-                loss, grads = sample_gradients(model, idx)
+                loss, grads = steps[idx](model, cfg.loss)
                 params, state = adam_step(params, grads, state, lr)
                 try:
                     model = vector_to_model(params, configs)
@@ -368,11 +365,7 @@ def _fit(
             except ValueError as exc:
                 raise ValueError(f"training diverged at epoch {epoch} (lr {lr!r}) on {exc}") from exc
             records.append(EpochRecord(epoch, lr, float(np.mean(losses)), val_psnr))
-            if val_psnr > best_psnr:
-                best_psnr = val_psnr
-                best_epoch = epoch
-
-    return model, TrainHistory(tuple(records), best_epoch, float(best_psnr))
+    return model, TrainHistory(tuple(records))
 
 
 def train(

@@ -642,6 +642,19 @@ def test_fb_cache_truncated_file_is_a_miss_and_recomputed(tmp_path):
     assert cache.get(img, cfg) == fresh  # the put rewrote the file
 
 
+def test_fb_cache_empty_file_is_a_miss_and_rewritten(tmp_path):
+    img = synthetic_clean(84, width=10, height=10)
+    cfg = Median(3, 3)
+    cache = FBCache(tmp_path / "cache")
+    build_basis(img, [cfg], cache=cache)
+    path = cache.path_for(img, cfg)
+    written = path.read_bytes()
+    path.write_bytes(b"")
+    assert cache.get(img, cfg) is None
+    build_basis(img, [cfg], cache=cache)
+    assert path.read_bytes() == written
+
+
 def test_fb_cache_wrong_shape_file_is_a_miss(tmp_path):
     img = synthetic_clean(82, width=10, height=10)
     cfg = Median(3, 3)

@@ -269,6 +269,75 @@ def test_output_naming_the_input_is_usage_error(workspace, capsys, monkeypatch, 
     assert source.read_bytes() == before
 
 
+_CALIBRATE = ["calibrate", "--grid", "median:k1=1|3,k2=1|3", "--pairs", "data.txt", "--select", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["apply", "--model", "model.cfmodel", "clean.pgm", "model.cfmodel"],
+         "apply: output model.cfmodel is the --model file"),
+        (["train", "--preset", "preset.txt", "--data", "data.txt", "--out", "data.txt"],
+         "train: --out data.txt is the --data file"),
+        (["train", "--preset", "preset.txt", "--data", "data.txt", "--out", "x", "--history", "x"],
+         "train: --history x is the --out file"),
+        (["train", "--preset", "preset.txt", "--data", "data.txt", "--out", "m.cfmodel",
+          "--history", "preset.txt"],
+         "train: --history preset.txt is the --preset file"),
+        (["train", "--preset", "builtin:median8", "--data", "data.txt", "--val", "val.txt",
+          "--out", "sub/../val.txt"],
+         "train: --out sub/../val.txt is the --val file"),
+        (["ablate", "--preset", "preset.txt", "--data", "data.txt", "--out", "preset.txt"],
+         "ablate: --out preset.txt is the --preset file"),
+        ([*_CALIBRATE, "--out", "data.txt"], "calibrate: --out data.txt is the --pairs file"),
+        ([*_CALIBRATE, "--out", "p.txt", "--report", "p.txt"], "calibrate: --report p.txt is the --out file"),
+        (["eval", "--model", "model.cfmodel", "--data", "data.txt", "--csv", "model.cfmodel"],
+         "eval: --csv model.cfmodel is the --model file"),
+        (["eval", "--model", "model.cfmodel", "--data", "data.txt", "--csv", "link.txt"],
+         "eval: --csv link.txt is the --data file"),
+    ],
+    ids=[
+        "apply-output-model", "train-out-data", "train-history-out", "train-history-preset",
+        "train-out-val", "ablate-out-preset", "calibrate-out-pairs", "calibrate-report-out",
+        "eval-csv-model", "eval-csv-data-link",
+    ],
+)
+def test_output_naming_an_input_or_another_output_is_usage_error(
+    workspace, capsys, monkeypatch, argv, message
+):
+    save_model(init_model([Median(3, 3), Median(1, 1)]), workspace / "model.cfmodel")
+    (workspace / "val.txt").write_text((workspace / "data.txt").read_text())
+    (workspace / "sub").mkdir()
+    os.link(workspace / "data.txt", workspace / "link.txt")
+    before = {path: path.read_bytes() for path in workspace.iterdir() if path.is_file()}
+    monkeypatch.chdir(workspace)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
+    assert {path: path.read_bytes() for path in workspace.iterdir() if path.is_file()} == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--model", "bin.dat", "clean.pgm", "out.pgm"],
+        ["train", "--preset", "bin.dat", "--data", "data.txt", "--out", "m.cfmodel"],
+        ["train", "--preset", "preset.txt", "--data", "bin.dat", "--out", "m.cfmodel"],
+        ["eval", "--model", "model.cfmodel", "--data", "bin.dat"],
+        ["calibrate", "--pairs", "bin.dat", "--select", "1", "--out", "p.txt"],
+    ],
+    ids=["apply-model", "train-preset", "train-data", "eval-data", "calibrate-pairs"],
+)
+def test_text_file_that_is_not_utf8_is_named(workspace, capsys, monkeypatch, argv):
+    save_model(init_model([Median(3, 3), Median(1, 1)]), workspace / "model.cfmodel")
+    (workspace / "bin.dat").write_bytes(b"\x89PNG\r\n\x1a\n")
+    monkeypatch.chdir(workspace)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: bin.dat: 'utf-8' codec can't decode byte 0x89 in position 0: invalid start byte\n"
+    )
+
+
 def test_train_builtin_preset_and_threads_identical_outputs(workspace):
     # Determinism across --threads: identical model bytes and outputs.
     paths = []

@@ -355,9 +355,17 @@ def test_train_best_model_retained_in_history():
     samples = _identity_suite(4, size=12)
     cfg = TrainingConfig(seed=6, epochs=15)
     _, history = train(samples, [Median(3, 3)], cfg, val_samples=samples)
-    best = max(history.records, key=lambda r: r.val_psnr)
-    assert history.best_epoch == best.epoch
-    assert history.best_val_psnr == best.val_psnr
+    top = max(r.val_psnr for r in history.records)
+    assert history.best is next(r for r in history.records if r.val_psnr == top)
+
+
+def test_train_history_best_is_the_first_of_tied_records():
+    records = (
+        trainer.EpochRecord(0, 0.1, 2.0, 30.0),
+        trainer.EpochRecord(1, 0.1, 1.0, 31.5),
+        trainer.EpochRecord(2, 0.1, 0.5, 31.5),
+    )
+    assert trainer.TrainHistory(records).best is records[1]
 
 
 def test_train_divergence_is_the_error_even_with_runtime_warnings_as_errors():
