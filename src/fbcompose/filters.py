@@ -241,8 +241,10 @@ def parse_config(text: str) -> FilterConfig:
 
 # Version of the kernels' output: bump it whenever any kernel's result
 # changes, so planes an older kernel wrote to a plane cache miss instead of
-# being served (``basis.FBCache`` salts its keys with it).
-KERNEL_VERSION = 1
+# being served (``basis.FBCache`` salts its keys with it).  2: the bilateral
+# loop adds the centre first and then each pair of opposite offsets, which
+# moves some planes by one grid step from version 1's offset order.
+KERNEL_VERSION = 2
 
 # exp(x) is exactly 0.0 in float64 for every x below about -745.13.
 _EXP_UNDERFLOW = -746.0
@@ -289,9 +291,15 @@ def joint_bilateral(
     * a(q), where f and g are Gaussians of the given sigmas and the range
     distance is the Euclidean distance over guide's channel vector.
 
-    Offsets whose spatial exponent alone lies below exp's underflow point
-    are skipped: their weight is exactly 0, so adding them would change no
-    bit of either sum.
+    The weight is symmetric, w(p, p+o) == w(p+o, p), so each pair of
+    opposite offsets +o/-o computes its weights once.  Both sums start at
+    the centre, whose weight is exactly 1, and then add each offset of the
+    half window in raster order (dy > 0, or dy == 0 and dx > 0) followed by
+    its opposite; this order is what ``KERNEL_VERSION`` 2 names.
+
+    Offset pairs whose spatial exponent alone lies below exp's underflow
+    point are skipped: their weight is exactly 0, so adding them would
+    change no bit of either sum.
 
     Pixels are addressed along whole padded rows of length ``row``, so the
     neighbour (y+dy, x+dx) of every output pixel lies ``dy*row + dx`` further
@@ -312,32 +320,38 @@ def joint_bilateral(
     pad = ((0, 0), (radius, radius), (radius, radius))
     flat_src = np.pad(a.data, pad, mode="edge").reshape(channels, -1)
     flat_ref = flat_src if guide is a else np.pad(guide.data, pad, mode="edge").reshape(channels, -1)
-    centre = flat_ref[:, first:first + span]
     inv_ss = 1.0 / (2.0 * sigma_spatial * sigma_spatial)
     inv_sr = 1.0 / (2.0 * sigma_range * sigma_range)
 
-    # Row 0 of ``step`` holds one offset's weights, rows 1.. its weighted
-    # values, so both running sums take one ``+=`` per offset.
+    # One run of weights over the centres [first - o, first + span) serves
+    # both offsets of a pair: entries [o, o + span) weigh the +o neighbours
+    # of the output pixels, entries [0, span) the -o ones.  Row 0 of ``step``
+    # holds the weights, rows 1.. one side's weighted values, so each side
+    # adds to both running sums with one ``+=``.
     sums = np.zeros((channels + 1, height * row))
-    step = np.empty((channels + 1, span))
-    weight = step[0]
-    delta = np.empty((channels, span))
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
+    sums[0, :span] = 1.0  # the centre's weight is exactly 1
+    sums[1:, :span] = flat_src[:, first:first + span]
+    step = np.empty((channels + 1, span + first))
+    delta = np.empty((channels, span + first))
+    for dy in range(radius + 1):
+        for dx in range(-radius if dy else 1, radius + 1):
             spatial = -(dy * dy + dx * dx) * inv_ss
             if spatial < _EXP_UNDERFLOW:
                 continue  # weight is exactly 0 whatever the range term
-            start = first + dy * row + dx
-            np.subtract(flat_ref[:, start:start + span], centre, out=delta)
+            o = dy * row + dx
+            weight, diff = step[0, :span + o], delta[:, :span + o]
+            np.subtract(flat_ref[:, first:first + span + o], flat_ref[:, first - o:first + span], out=diff)
             if channels == 1:
-                np.multiply(delta[0], delta[0], out=weight)
+                np.multiply(diff[0], diff[0], out=weight)
             else:
-                np.einsum("cn,cn->n", delta, delta, out=weight)
+                np.einsum("cn,cn->n", diff, diff, out=weight)
             np.multiply(weight, inv_sr, out=weight)
             np.subtract(spatial, weight, out=weight)
             np.exp(weight, out=weight)
-            np.multiply(weight, flat_src[:, start:start + span], out=step[1:])
-            sums[:, :span] += step
+            for lo, start in ((o, first + o), (0, first - o)):
+                side = step[:, lo:lo + span]
+                np.multiply(side[0], flat_src[:, start:start + span], out=side[1:])
+                sums[:, :span] += side
     sums = sums.reshape(channels + 1, height, row)[:, :, :width]
     return Image(sums[1:] / sums[0])
 

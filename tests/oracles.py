@@ -144,11 +144,13 @@ def oracle_ssim(x: np.ndarray, y: np.ndarray, window: int = 11, sigma: float = 1
 
 # ---------------------------------------------------------------------------
 # Bit-identity references: the vectorised kernels as they stood before the
-# joint bilateral loop reused its buffers and skipped underflowing offsets,
-# before the median took one partition, and before rolling-guidance configs
-# shared one chain.  Unlike the oracles above they take and return Images
-# (so outputs are grid-snapped like the library's), and the library must
-# match them bit for bit, not within a tolerance.
+# joint bilateral loop reused its buffers, shared each weight between
+# opposite offsets and skipped underflowing offsets (but adding the offsets
+# in that loop's order, KERNEL_VERSION 2), before the median took one
+# partition, and before rolling-guidance configs shared one chain.  Unlike
+# the oracles above they take and return Images (so outputs are
+# grid-snapped like the library's), and the library must match them bit
+# for bit, not within a tolerance.
 # ---------------------------------------------------------------------------
 
 
@@ -172,7 +174,9 @@ def reference_gaussian_blur(a: Image, sigma_spatial: float) -> Image:
 def reference_joint_bilateral(
     a: Image, guide: Image, sigma_spatial: float, sigma_range: float, window: int
 ) -> Image:
-    """Every offset of the window, each with freshly allocated arrays."""
+    """The centre, then each offset of the half window in raster order
+    (``dy > 0``, or ``dy == 0`` and ``dx > 0``) followed by its opposite,
+    every weight computed on its own with freshly allocated arrays."""
     radius = window // 2
     src = a.data
     ref = guide.data
@@ -183,19 +187,22 @@ def reference_joint_bilateral(
     inv_ss = 1.0 / (2.0 * sigma_spatial * sigma_spatial)
     inv_sr = 1.0 / (2.0 * sigma_range * sigma_range)
 
+    offsets = [(0, 0)]
+    for dy in range(radius + 1):
+        for dx in range(-radius if dy else 1, radius + 1):
+            offsets += [(dy, dx), (-dy, -dx)]
     accum = np.zeros_like(src)
     norm = np.zeros((height, width))
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            rows = slice(radius + dy, radius + dy + height)
-            cols = slice(radius + dx, radius + dx + width)
-            values = padded_src[:, rows, cols]
-            shifted_ref = padded_ref[:, rows, cols]
-            delta = shifted_ref - ref
-            dist2 = np.einsum("chw,chw->hw", delta, delta)
-            weight = np.exp(-(dy * dy + dx * dx) * inv_ss - dist2 * inv_sr)
-            accum += weight[np.newaxis] * values
-            norm += weight
+    for dy, dx in offsets:
+        rows = slice(radius + dy, radius + dy + height)
+        cols = slice(radius + dx, radius + dx + width)
+        values = padded_src[:, rows, cols]
+        shifted_ref = padded_ref[:, rows, cols]
+        delta = shifted_ref - ref
+        dist2 = np.einsum("chw,chw->hw", delta, delta)
+        weight = np.exp(-(dy * dy + dx * dx) * inv_ss - dist2 * inv_sr)
+        accum += weight[np.newaxis] * values
+        norm += weight
     return Image(accum / norm[np.newaxis])
 
 

@@ -10,6 +10,7 @@ from fbcompose import (
     Image,
     Median,
     RollingGuidance,
+    add_gaussian_noise,
     apply,
     bilateral,
     filters,
@@ -20,7 +21,9 @@ from fbcompose import (
     parse_grid,
     rolling_guidance,
 )
+from fbcompose.basis import bilateral_preset
 from fbcompose.filters import KINDS, gaussian_kernel1d
+from fbcompose.image import GRID_BITS
 
 from oracles import (
     oracle_bilateral,
@@ -31,7 +34,7 @@ from oracles import (
     reference_joint_bilateral,
     reference_median,
 )
-from synth import synthetic_clean
+from synth import denoising_samples, synthetic_clean
 
 
 def _random_image(rng, channels=1, lo=5, hi=9):
@@ -311,6 +314,49 @@ def test_joint_bilateral_edge_shapes_equal_previous_kernel(height, width, window
         assert np.array_equal(got.data, want.data), (ss, sr)
     assert np.array_equal(img.data, img_before)
     assert np.array_equal(guide.data, guide_before)
+
+
+# The bilateral loop adds opposite offsets in pairs (KERNEL_VERSION 2), so
+# beyond matching the reference of that order bit for bit, its planes are
+# pinned to the exact maths at the shipped presets' windows and sigmas.
+# Each sigma pair runs on gray and colour, one self-guided and the other
+# not, so each window sees all four kinds at half the cost of every
+# combination (the oracle is a per-pixel Python loop).
+def _oracle_cases():
+    sigmas = [(0.1, 0.5, 15), (0.4, 3.5, 15), (1.1, 0.5, 15), (3.0, 0.2, 9), (6.0, 0.5, 9)]
+    for index, (ss, sr, window) in enumerate(sigmas):
+        for channels in (1, 3):
+            self_guided = (index % 2 == 0) == (channels == 1)
+            guide = "self-guide" if self_guided else "separate-guide"
+            name = f"{ss}-{sr}-{window}-{channels}-{guide}"
+            yield pytest.param(ss, sr, window, channels, self_guided, id=name)
+
+
+@pytest.mark.parametrize("ss,sr,window,channels,self_guided", list(_oracle_cases()))
+def test_joint_bilateral_within_two_grid_steps_of_oracle(ss, sr, window, channels, self_guided):
+    clean = synthetic_clean(60 + channels, width=64, height=48, channels=channels)
+    img = add_gaussian_noise(clean, 25.0, seed=61)
+    guide = img if self_guided else Image(np.random.default_rng(62).random(img.shape))
+    got = joint_bilateral(img, guide, ss, sr, window).data
+    want = oracle_joint_bilateral(img.data, guide.data, ss, sr, window)
+    assert np.max(np.abs(got - want)) <= 2 * 2.0**-GRID_BITS
+
+
+def test_bilateral_window_1_returns_source():
+    rng = np.random.default_rng(63)
+    for channels in (1, 3):
+        img = Image(rng.random((channels, 9, 7)))
+        guide = Image(rng.random(img.shape))
+        assert joint_bilateral(img, guide, 0.5, 0.1, 1) == img
+        assert bilateral(img, 3.0, 0.1, 1) == img
+
+
+def test_bilateral9_sharpest_plane_equals_its_source():
+    # Its nearest spatial weight, exp(-50), lies below the 2**-48 grid.
+    cfg = bilateral_preset()[0]
+    assert cfg == Bilateral(0.1, 0.5, 15)
+    for sample in denoising_samples(5, seed=64):
+        assert apply(sample.degraded, cfg) == sample.degraded
 
 
 # ---------------------------------------------------------------------------
