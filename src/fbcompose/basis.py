@@ -16,7 +16,7 @@ import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -193,56 +193,40 @@ def iis_select(scored: Sequence[Candidate], m: int) -> list[FilterConfig]:
 # Basis stacks
 # ---------------------------------------------------------------------------
 
-_NO_CONFIGS = "a filtered basis needs at least one config"
-
-
 @dataclass(frozen=True, eq=False)
 class FilteredBasis:
     """Ordered stack of filter outputs over one source image.
 
-    The planes live in one read-only (n, channels, height, width) array,
-    ``tensor()``, which this constructor stacks and ``build_basis`` fills in
-    place; each plane is a view into it, so a basis holds one copy of them.
+    ``stack`` is an (n, channels, height, width) float64 array of grid values,
+    one plane per config, such as ``build_basis`` fills.  The basis takes it
+    over without a copy and makes it read-only; each plane is a view into it.
     """
 
     source: Image
     configs: tuple[FilterConfig, ...]
-    planes: tuple[Image, ...]
+    stack: np.ndarray
+    planes: tuple[Image, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.configs:
-            raise ValueError(_NO_CONFIGS)
-        if len(self.configs) != len(self.planes):
-            raise ValueError(f"{len(self.configs)} configs vs {len(self.planes)} planes")
-        for plane in self.planes:
-            if plane.shape != self.source.shape:
-                raise ValueError(
-                    f"plane shape {plane.shape} != source shape {self.source.shape}"
-                )
-        self._hold(np.stack([plane.data for plane in self.planes]))
-
-    @classmethod
-    def _over(cls, source: Image, configs: tuple, stack: np.ndarray) -> "FilteredBasis":
-        """A basis over a filled (n, *source.shape) stack of grid values, not copied."""
-        if not configs:
-            raise ValueError(_NO_CONFIGS)
-        basis = object.__new__(cls)
-        basis.__dict__.update(source=source, configs=configs)
-        basis._hold(stack)
-        return basis
-
-    def _hold(self, stack: np.ndarray) -> None:
-        stack.setflags(write=False)
-        self.__dict__.update(_stack=stack, planes=tuple(Image._wrap(s) for s in stack))
+            raise ValueError("a filtered basis needs at least one config")
+        want = (len(self.configs), *self.source.shape)
+        if self.stack.dtype != np.float64 or self.stack.shape != want:
+            raise ValueError(
+                f"basis stack is {self.stack.dtype} {self.stack.shape}, not float64 {want}: "
+                f"one plane of source shape {self.source.shape} per config"
+            )
+        self.stack.setflags(write=False)
+        object.__setattr__(self, "planes", tuple(Image._wrap(s) for s in self.stack))
 
     @property
     def magnitude(self) -> int:
         return len(self.configs)
 
     def tensor(self) -> np.ndarray:
-        """The planes stacked to (n, channels, height, width): one read-only
-        array per basis, returned by every call."""
-        return self._stack
+        """The planes stacked to (n, channels, height, width): the read-only
+        array the basis was built over, returned by every call."""
+        return self.stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +277,7 @@ def build_basis(
                     cache.put(source, cfg, plane)
 
     _ordered_map(one, _groups(configs), threads)
-    return FilteredBasis._over(source, configs, stack)
+    return FilteredBasis(source, configs, stack)
 
 
 def build_residuals(basis: FilteredBasis) -> ResidualBasis:

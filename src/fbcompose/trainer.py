@@ -27,7 +27,7 @@ from .model import (
     model_to_vector,
     vector_to_model,
 )
-from .noise import add_gaussian_noise, add_impulse_noise
+from .noise import DEGRADATIONS, check_amount
 from .pnm import read_image
 
 
@@ -192,9 +192,10 @@ class DatasetSpec:
                     entries.append(PairEntry(tokens[1], tokens[2]))
                 elif tokens[0] == "clean" and len(tokens) == 4:
                     kind = tokens[2]
-                    if kind not in ("gaussian", "impulse"):
+                    if kind not in DEGRADATIONS:
                         raise ValueError(f"unknown degradation {kind!r}")
-                    entries.append(RecipeEntry(tokens[1], kind, float(tokens[3])))
+                    amount = check_amount(kind, float(tokens[3]))
+                    entries.append(RecipeEntry(tokens[1], kind, amount))
                 else:
                     raise ValueError(f"unrecognized manifest line {line!r}")
             except ValueError as exc:
@@ -215,11 +216,7 @@ class DatasetSpec:
                 sample_id = entry.input_path
             else:
                 clean = read_image(base / entry.clean_path)
-                sample_seed = derive_seed(seed, index)
-                if entry.kind == "gaussian":
-                    degraded = add_gaussian_noise(clean, entry.amount, sample_seed)
-                else:
-                    degraded = add_impulse_noise(clean, entry.amount, sample_seed)
+                degraded = DEGRADATIONS[entry.kind](clean, entry.amount, derive_seed(seed, index))
                 sample_id = entry.clean_path
             samples.append(Sample(sample_id, degraded, clean))
         return samples

@@ -139,7 +139,7 @@ def test_criterion_2_gradients_match_finite_differences():
             source = Image(rng.random((channels, h, w)))
             planes = tuple(Image(rng.random((channels, h, w))) for _ in range(n))
             configs = tuple(Gaussian(0.5 + 0.05 * i) for i in range(n))
-            basis = FilteredBasis(source, configs, planes)
+            basis = FilteredBasis(source, configs, np.stack([p.data for p in planes]))
             gt_clean = Image(rng.random((channels, h, w)))
             # Layout [wc (n), bc, wr (n), br, w1, w2, bm], drawn in that order.
             params = np.concatenate([

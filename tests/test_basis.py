@@ -347,14 +347,40 @@ def test_build_basis_preserves_order_and_shape():
 def test_basis_holds_one_read_only_stack():
     img = synthetic_clean(70, width=9, height=7, channels=3)
     planes = [median(img, 3, 3), median(img, 1, 3)]
-    basis = FilteredBasis(img, (Median(3, 3), Median(1, 3)), tuple(planes))
+    given_stack = np.stack([p.data for p in planes])
+    basis = FilteredBasis(img, (Median(3, 3), Median(1, 3)), given_stack)
     stack = basis.tensor()
-    assert stack is basis.tensor()
+    assert stack is given_stack and stack is basis.tensor()
     assert stack.shape == (2, 3, 7, 9) and not stack.flags.writeable
     for i, (given, plane) in enumerate(zip(planes, basis.planes)):
         assert plane == given
         assert np.shares_memory(plane.data, stack) and np.array_equal(stack[i], given.data)
         assert not plane.data.flags.writeable
+
+
+def test_basis_rejects_empty_configs():
+    img = Image.constant(4, 4, 0.5)
+    with pytest.raises(ValueError, match="needs at least one config"):
+        FilteredBasis(img, (), np.empty((0, 1, 4, 4)))
+
+
+@pytest.mark.parametrize(
+    "stack, message",
+    [
+        (np.zeros((3, 1, 4, 5)), r"is float64 \(3, 1, 4, 5\), not float64 \(2, 1, 4, 5\)"),
+        (np.zeros((2, 1, 5, 4)), r"is float64 \(2, 1, 5, 4\), not float64 \(2, 1, 4, 5\)"),
+        (
+            np.zeros((2, 1, 4, 5), np.float32),
+            r"is float32 \(2, 1, 4, 5\), not float64 \(2, 1, 4, 5\)",
+        ),
+    ],
+    ids=["plane-count", "plane-shape", "dtype"],
+)
+def test_basis_rejects_a_stack_that_does_not_fit(stack, message):
+    img = Image.constant(5, 4, 0.5)
+    with pytest.raises(ValueError, match=message + r".*source shape \(1, 4, 5\)"):
+        FilteredBasis(img, (Median(3, 3), Median(1, 3)), stack)
+    assert stack.flags.writeable  # a rejected stack is left as it was
 
 
 def test_build_basis_constant_source_gives_constant_planes():
@@ -401,9 +427,7 @@ def test_residual_constant_offset_plane():
     base = np.clip(np.linspace(0.3, 0.7, 36).reshape(1, 6, 6), 0.2, 0.8)
     img = Image(base)
     offset_plane = Image(img.data - 0.1)  # stays inside [0, 1]: no clamping
-    from fbcompose.basis import FilteredBasis
-
-    basis = FilteredBasis(img, (Gaussian(1.0),), (offset_plane,))
+    basis = FilteredBasis(img, (Gaussian(1.0),), np.stack([offset_plane.data]))
     residuals = build_residuals(basis)
     assert np.max(np.abs(residuals.planes[0] - 0.1)) < 1e-12
 

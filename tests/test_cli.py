@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -72,6 +73,14 @@ def test_noise_requires_exactly_one_kind(workspace):
         )
         == 1
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "1e400", "-5"])
+def test_noise_bad_gaussian_sigma_is_processing_error_naming_it(workspace, capsys, sigma):
+    out = workspace / "noisy.pgm"
+    assert run(["noise", "--gaussian", sigma, str(workspace / "clean.pgm"), str(out)]) == 2
+    assert "error: sigma255 must be finite and >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -721,9 +730,15 @@ def test_calibrate_grid_number_error_names_parameter_and_part(workspace, capsys,
     assert not out.exists()
 
 
-def test_help_exits_zero():
+def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
-    assert run(["train", "--help"]) == 0
+    subcommands = next(
+        a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert "train" in subcommands
+    for command in subcommands:  # every subcommand the parser declares
+        assert run([command, "--help"]) == 0, command
+        assert f"usage: fbcompose {command}" in capsys.readouterr().out, command
 
 
 def test_python_m_runs_the_commands(workspace):

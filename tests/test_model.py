@@ -41,7 +41,7 @@ def _synthetic_problem(rng, n, height, width, channels=1):
     gradient math."""
     source = Image(rng.random((channels, height, width)))
     planes = tuple(Image(rng.random((channels, height, width))) for _ in range(n))
-    basis = FilteredBasis(source, _dummy_configs(n), planes)
+    basis = FilteredBasis(source, _dummy_configs(n), np.stack([p.data for p in planes]))
     gt_clean = Image(rng.random((channels, height, width)))
     return basis, gt_clean
 
@@ -150,7 +150,7 @@ def test_forward_all_zero_weights_gives_zero_merged():
 def test_forward_constant_planes_scalar_arithmetic():
     source = Image.constant(4, 4, 0.5)
     planes = (Image.constant(4, 4, 0.2), Image.constant(4, 4, 0.6))
-    basis = FilteredBasis(source, _dummy_configs(2), planes)
+    basis = FilteredBasis(source, _dummy_configs(2), np.stack([p.data for p in planes]))
     model = CompositionModel(
         basis.configs,
         _params(np.array([0.5, 0.5]), 0.1, np.zeros(2), 0.0, 1.0, 0.0, 0.0),
@@ -183,7 +183,7 @@ def test_forward_is_linear_in_planes_with_zero_biases():
     )
 
     def content_of(planes):
-        basis = FilteredBasis(source, configs, planes)
+        basis = FilteredBasis(source, configs, np.stack([p.data for p in planes]))
         return forward(model, basis).content
 
     lhs = content_of(mixed)
@@ -195,7 +195,7 @@ def test_reconstruction_consistency_through_merge():
     # Perfect residual branch plus merge (0, 1, 0) reproduces the target.
     img = synthetic_clean(85, width=12, height=12)
     noisy = Image(np.clip(img.data + 0.05, 0, 1))
-    basis = FilteredBasis(noisy, _dummy_configs(1), (img,))  # plane == target
+    basis = FilteredBasis(noisy, _dummy_configs(1), np.stack([img.data]))  # plane == target
     # With wr = 1 and br = 0 the residual branch is noisy - target.
     model = CompositionModel(
         basis.configs,
@@ -236,7 +236,7 @@ def test_forward_matches_residual_stack_reference():
 
 def test_outputs_clamp_only_on_export():
     source = Image.constant(4, 4, 0.9)
-    basis = FilteredBasis(source, _dummy_configs(1), (Image.constant(4, 4, 0.9),))
+    basis = FilteredBasis(source, _dummy_configs(1), np.stack([Image.constant(4, 4, 0.9).data]))
     model = CompositionModel(
         basis.configs,
         # content = 1.8, out of range
@@ -341,7 +341,7 @@ def test_gradients_zero_at_perfect_fit():
 def test_gradient_single_pixel_hand_value():
     # Single pixel, n=1, content-only: dL/dw = 2*(w*J + b - G)*J.
     source = Image.constant(1, 1, 0.5)
-    basis = FilteredBasis(source, _dummy_configs(1), (Image.constant(1, 1, 0.5),))
+    basis = FilteredBasis(source, _dummy_configs(1), np.stack([Image.constant(1, 1, 0.5).data]))
     model = CompositionModel(
         basis.configs,
         _params(np.array([1.0]), 0.0, np.zeros(1), 0.0, 0.0, 0.0, 0.0),

@@ -13,8 +13,9 @@ def test_gaussian_zero_sigma_is_identity():
 
 def test_gaussian_rejects_negative_sigma():
     img = Image.constant(4, 4, 0.5)
-    with pytest.raises(ValueError):
-        add_gaussian_noise(img, -1.0, seed=0)
+    for sigma255 in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma255"):
+            add_gaussian_noise(img, sigma255, seed=0)
 
 
 def test_gaussian_empirical_std_matches_sigma():

@@ -242,7 +242,15 @@ def test_dataset_manifest_rejects_bad_lines(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line", ["split x", "clean clean.pgm gaussian x", "clean clean.pgm impulse 0.1.2"]
+    "line",
+    [
+        "split x",
+        "clean clean.pgm gaussian x",
+        "clean clean.pgm impulse 0.1.2",
+        "clean c.pgm impulse 2",
+        "clean c.pgm gaussian -5",
+        "clean c.pgm gaussian nan",
+    ],
 )
 def test_dataset_manifest_number_errors_name_file_and_line(tmp_path, line):
     manifest = tmp_path / "bad.txt"
