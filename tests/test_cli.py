@@ -736,7 +736,7 @@ def test_help_exits_zero(capsys):
         a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
     assert "train" in subcommands
-    for command in subcommands:  # every subcommand the parser declares
+    for command in subcommands:
         assert run([command, "--help"]) == 0, command
         assert f"usage: fbcompose {command}" in capsys.readouterr().out, command
 
