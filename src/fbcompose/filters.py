@@ -15,7 +15,7 @@ from typing import ClassVar, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .image import Image
+from .image import GRID_BITS, Image
 
 
 def _fmt_num(x: float) -> str:
@@ -243,11 +243,14 @@ def parse_config(text: str) -> FilterConfig:
 # changes, so planes an older kernel wrote to a plane cache miss instead of
 # being served (``basis.FBCache`` salts its keys with it).  2: the bilateral
 # loop adds the centre first and then each pair of opposite offsets, which
-# moves some planes by one grid step from version 1's offset order.
-KERNEL_VERSION = 2
+# moves some planes by one grid step from version 1's offset order.  3: it
+# skips offset pairs whose spatial weight is below ``_SKIP_EXPONENT``; only
+# values whose own input is exactly 0 can move, by at most one grid step.
+KERNEL_VERSION = 3
 
-# exp(x) is exactly 0.0 in float64 for every x below about -745.13.
-_EXP_UNDERFLOW = -746.0
+# exp of this is 2**-(GRID_BITS + 54), half an ulp of the smallest nonzero
+# grid value with one bit to spare for exp's rounding.
+_SKIP_EXPONENT = -(GRID_BITS + 54) * math.log(2.0)
 # Bytes of window copies the median partitions at once: one core's L2.
 _MEDIAN_BAND_BYTES = 2 << 20
 
@@ -297,9 +300,11 @@ def joint_bilateral(
     half window in raster order (dy > 0, or dy == 0 and dx > 0) followed by
     its opposite; this order is what ``KERNEL_VERSION`` 2 names.
 
-    Offset pairs whose spatial exponent alone lies below exp's underflow
-    point are skipped: their weight is exactly 0, so adding them would
-    change no bit of either sum.
+    Offset pairs whose spatial weight lies below 2**-(GRID_BITS + 54) are
+    skipped: that is below half an ulp of every running sum that starts
+    nonzero (the denominator starts at 1, a nonzero value at 2**-GRID_BITS
+    or more), so against version 2's unskipped sums only a value whose own
+    input is 0 can move, by at most one grid step.
 
     Pixels are addressed along whole padded rows of length ``row``, so the
     neighbour (y+dy, x+dx) of every output pixel lies ``dy*row + dx`` further
@@ -336,8 +341,8 @@ def joint_bilateral(
     for dy in range(radius + 1):
         for dx in range(-radius if dy else 1, radius + 1):
             spatial = -(dy * dy + dx * dx) * inv_ss
-            if spatial < _EXP_UNDERFLOW:
-                continue  # weight is exactly 0 whatever the range term
+            if spatial < _SKIP_EXPONENT:
+                continue  # too light to change any sum that starts nonzero
             o = dy * row + dx
             weight, diff = step[0, :span + o], delta[:, :span + o]
             np.subtract(flat_ref[:, first:first + span + o], flat_ref[:, first - o:first + span], out=diff)

@@ -1,7 +1,9 @@
 """Independent brute-force references for kernel verification.
 
 Each function re-derives its definition with explicit per-pixel loops and
-separately evaluated spatial/range kernels.  None of them call the library
+separately evaluated spatial/range kernels; ``oracle_joint_bilateral`` runs
+the same per-pixel arithmetic for all pixels at once, pinned to its loop
+form ``oracle_joint_bilateral_literal``.  None of them call the library
 kernels, so agreement is meaningful evidence of correctness.  All operate
 on raw (channels, height, width) float64 arrays with clamp-to-edge borders.
 The bit-identity references near the end are the exception: see there.
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 from fbcompose import Image
+from fbcompose.image import GRID_BITS
 
 
 def _clamp(v: int, hi: int) -> int:
@@ -42,6 +45,35 @@ def oracle_gaussian_2d(data: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def oracle_joint_bilateral(
+    src: np.ndarray,
+    guide: np.ndarray,
+    sigma_spatial: float,
+    sigma_range: float,
+    window: int,
+) -> np.ndarray:
+    """The per-pixel normalized double sum of ``oracle_joint_bilateral_literal``
+    with every pixel at once: the full window in raster order, separate f and
+    g kernels, ``num += f*g*src`` and ``den += f*g``."""
+    radius = window // 2
+    _, height, width = src.shape
+    pad = ((0, 0), (radius, radius), (radius, radius))
+    padded_src = np.pad(src, pad, mode="edge")
+    padded_guide = np.pad(guide, pad, mode="edge")
+    num = np.zeros_like(src)
+    den = np.zeros((height, width))
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            rows = slice(radius + dy, radius + dy + height)
+            cols = slice(radius + dx, radius + dx + width)
+            f = math.exp(-(dy * dy + dx * dx) / (2.0 * sigma_spatial**2))
+            delta = padded_guide[:, rows, cols] - guide
+            g = np.exp(-np.sum(delta * delta, axis=0) / (2.0 * sigma_range**2))
+            num += f * g * padded_src[:, rows, cols]
+            den += f * g
+    return num / den
+
+
+def oracle_joint_bilateral_literal(
     src: np.ndarray,
     guide: np.ndarray,
     sigma_spatial: float,
@@ -144,14 +176,19 @@ def oracle_ssim(x: np.ndarray, y: np.ndarray, window: int = 11, sigma: float = 1
 
 # ---------------------------------------------------------------------------
 # Bit-identity references: the vectorised kernels as they stood before the
-# joint bilateral loop reused its buffers, shared each weight between
-# opposite offsets and skipped underflowing offsets (but adding the offsets
-# in that loop's order, KERNEL_VERSION 2), before the median took one
-# partition, and before rolling-guidance configs shared one chain.  Unlike
-# the oracles above they take and return Images (so outputs are
+# joint bilateral loop reused its buffers and shared each weight between
+# opposite offsets (but adding the offsets in that loop's order and
+# skipping the pairs it skips, KERNEL_VERSION 3), before the median took
+# one partition, and before rolling-guidance configs shared one chain.
+# Unlike the oracles above they take and return Images (so outputs are
 # grid-snapped like the library's), and the library must match them bit
 # for bit, not within a tolerance.
 # ---------------------------------------------------------------------------
+
+# The bilateral skip threshold, 2**-(GRID_BITS + 54) as an exponent, written
+# from the grid here rather than imported, so that moving the kernel's
+# constant fails the identity tests.
+REFERENCE_SKIP_EXPONENT = -(GRID_BITS + 54) * math.log(2.0)
 
 
 def _reference_correlate_edge(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
@@ -171,12 +208,28 @@ def reference_gaussian_blur(a: Image, sigma_spatial: float) -> Image:
     return Image(_reference_correlate_edge(_reference_correlate_edge(a.data, taps, 2), taps, 1))
 
 
+def reference_offset_pairs(sigma_spatial: float, window: int, skip: bool = True) -> list:
+    """The half-window offsets ``(dy, dx)`` in raster order (``dy > 0``, or
+    ``dy == 0`` and ``dx > 0``) whose pair of opposite offsets the bilateral
+    sums take in; with ``skip``, those with a spatial exponent below
+    ``REFERENCE_SKIP_EXPONENT`` are left out."""
+    radius = window // 2
+    inv_ss = 1.0 / (2.0 * sigma_spatial * sigma_spatial)
+    return [
+        (dy, dx)
+        for dy in range(radius + 1)
+        for dx in range(-radius if dy else 1, radius + 1)
+        if not (skip and -(dy * dy + dx * dx) * inv_ss < REFERENCE_SKIP_EXPONENT)
+    ]
+
+
 def reference_joint_bilateral(
-    a: Image, guide: Image, sigma_spatial: float, sigma_range: float, window: int
+    a: Image, guide: Image, sigma_spatial: float, sigma_range: float, window: int,
+    skip: bool = True,
 ) -> Image:
-    """The centre, then each offset of the half window in raster order
-    (``dy > 0``, or ``dy == 0`` and ``dx > 0``) followed by its opposite,
-    every weight computed on its own with freshly allocated arrays."""
+    """The centre, then each offset of ``reference_offset_pairs`` followed by
+    its opposite, every weight computed on its own with freshly allocated
+    arrays.  ``skip=False`` takes in every pair: the sums of version 2."""
     radius = window // 2
     src = a.data
     ref = guide.data
@@ -188,9 +241,8 @@ def reference_joint_bilateral(
     inv_sr = 1.0 / (2.0 * sigma_range * sigma_range)
 
     offsets = [(0, 0)]
-    for dy in range(radius + 1):
-        for dx in range(-radius if dy else 1, radius + 1):
-            offsets += [(dy, dx), (-dy, -dx)]
+    for dy, dx in reference_offset_pairs(sigma_spatial, window, skip):
+        offsets += [(dy, dx), (-dy, -dx)]
     accum = np.zeros_like(src)
     norm = np.zeros((height, width))
     for dy, dx in offsets:

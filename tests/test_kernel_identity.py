@@ -3,20 +3,26 @@ call pattern that per-kernel tracing relies on.
 
 Every plane of the three shipped presets must equal the reference kernels of
 ``oracles`` exactly (``np.array_equal``), alone and through ``build_basis``
-with any thread count and a partly filled plane cache.
+with any thread count and a partly filled plane cache.  On inputs with no
+zero value, the bilateral kernel must also equal the sums that skip no
+offset pair (version 2).
 """
 
+import math
 import threading
 
 import numpy as np
 import pytest
 
 from fbcompose import FBCache, Image, build_basis, calibrate, filters
-from fbcompose.basis import BUILTIN_PRESETS
+from fbcompose.basis import BILATERAL_CANDIDATE_GRID, BUILTIN_PRESETS, parse_grid
 from fbcompose.filters import Bilateral, Median, RollingGuidance
+from fbcompose.image import GRID_BITS
 
 from oracles import (
+    REFERENCE_SKIP_EXPONENT,
     reference_joint_bilateral,
+    reference_offset_pairs,
     reference_median,
     reference_rolling_guidance,
 )
@@ -64,6 +70,75 @@ def test_joint_bilateral_with_separate_guide_equals_previous_kernel(channels):
         got = filters.joint_bilateral(img, guide, ss, sr, window)
         want = reference_joint_bilateral(img, guide, ss, sr, window)
         assert np.array_equal(got.data, want.data), (ss, sr, window)
+
+
+def _zero_free_images(channels):
+    """Noise, a smooth image and the extremes {2**-GRID_BITS, 1}: no value is 0."""
+    rng = np.random.default_rng(26 + channels)
+    tiny = 2.0**-GRID_BITS
+    shape = (channels, 13, 16)
+    images = [
+        Image(np.clip(rng.random(shape), tiny, 1.0)),
+        Image(np.clip(synthetic_clean(27, width=16, height=13, channels=channels).data, tiny, 1.0)),
+        Image(rng.choice([tiny, 1.0], size=shape)),
+    ]
+    assert all(np.all(img.data > 0) for img in images)
+    return images
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("self_guided", [True, False], ids=["self-guide", "separate-guide"])
+def test_skipped_pairs_change_no_value_of_a_zero_free_input(channels, self_guided):
+    # A skipped weight is below half an ulp of the denominator (it starts at
+    # 1) and of every numerator that starts at a nonzero grid value, so on
+    # these inputs skipping changes no bit of version 2's sums.
+    configs = BUILTIN_PRESETS["bilateral9"]() + parse_grid(BILATERAL_CANDIDATE_GRID)
+    sigmas = sorted({(cfg.sigma_spatial, cfg.sigma_range, cfg.window) for cfg in configs})
+    images = _zero_free_images(channels)
+    for img, other in zip(images, images[1:] + images[:1]):
+        guide = img if self_guided else other
+        for ss, sr, window in sigmas:
+            got = filters.joint_bilateral(img, guide, ss, sr, window)
+            want = reference_joint_bilateral(img, guide, ss, sr, window, skip=False)
+            assert np.array_equal(got.data, want.data), (ss, sr, window)
+
+
+class _CountingNumpy:
+    """Stands in for ``numpy`` in ``filters`` and counts ``exp`` calls, one
+    per offset pair the bilateral loop computes."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, *args, **kwargs):
+        self.exp_calls += 1
+        return np.exp(*args, **kwargs)
+
+
+def test_skip_threshold_keeps_and_skips_the_pair_at_its_edge(monkeypatch):
+    # The offsets (7, 0) and (0, 7) of a 15x15 window, d2 = 49, reach the
+    # threshold at ss_edge.  A weight that light cannot show in a snapped
+    # output, so the kernel's exp calls, one per pair computed, count it.
+    # The image is half zeros, the only values a skip may move.
+    ss_edge = math.sqrt(49 / (2 * -REFERENCE_SKIP_EXPONENT))
+    rng = np.random.default_rng(28)
+    img = Image(np.where(rng.random((1, 17, 19)) < 0.5, 0.0, rng.random((1, 17, 19))))
+    counted = []
+    for ss in (ss_edge * (1 + 1e-9), ss_edge * (1 - 1e-9)):
+        pairs = reference_offset_pairs(ss, 15)
+        counting = _CountingNumpy()
+        monkeypatch.setattr(filters, "np", counting)
+        got = filters.joint_bilateral(img, img, ss, 0.5, 15)
+        monkeypatch.undo()
+        assert counting.exp_calls == len(pairs), ss
+        assert np.array_equal(got.data, reference_joint_bilateral(img, img, ss, 0.5, 15).data), ss
+        counted.append(set(pairs))
+    kept, skipped = counted
+    assert kept - skipped == {(0, 7), (7, 0)}
+    assert skipped < kept
 
 
 def test_rolling_guidance_prefixes_equal_whole_chains():
