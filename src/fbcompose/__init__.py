@@ -14,18 +14,13 @@ from .basis import (
     FBCache,
     FilteredBasis,
     ResidualBasis,
-    bilateral_candidate_grid,
-    bilateral_preset,
     build_basis,
     build_residuals,
     calibrate,
     dis_grid,
     iis_select,
-    make_config,
-    median_preset,
     parse_grid,
     read_preset,
-    rgf_preset,
     write_preset,
 )
 from .filters import (
@@ -34,7 +29,6 @@ from .filters import (
     Gaussian,
     Median,
     RollingGuidance,
-    apply,
     bilateral,
     gaussian_blur,
     joint_bilateral,
@@ -43,7 +37,7 @@ from .filters import (
     rolling_guidance,
 )
 from .image import Image
-from .metrics import MetricReport, psnr, ssim, total_variation
+from .metrics import MetricReport, psnr, ssim
 from .model import (
     CompositionModel,
     ForwardOutputs,
@@ -98,10 +92,7 @@ __all__ = [
     "adam_step",
     "add_gaussian_noise",
     "add_impulse_noise",
-    "apply",
     "bilateral",
-    "bilateral_candidate_grid",
-    "bilateral_preset",
     "build_basis",
     "build_residuals",
     "calibrate",
@@ -115,20 +106,16 @@ __all__ = [
     "joint_bilateral",
     "load_model",
     "lr_at",
-    "make_config",
     "median",
-    "median_preset",
     "parse_config",
     "parse_grid",
     "psnr",
     "read_image",
     "read_preset",
-    "rgf_preset",
     "rolling_guidance",
     "save_model",
     "ssim",
     "total_loss",
-    "total_variation",
     "train",
     "write_image",
     "write_preset",

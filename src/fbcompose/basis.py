@@ -28,11 +28,6 @@ from .image import Image, snap_unit
 from .metrics import psnr
 
 
-def make_config(kind: str, params: Mapping[str, float]) -> FilterConfig:
-    """``FilterConfig.from_params`` of the config class named ``kind``."""
-    return filters._kind(kind).from_params(params)
-
-
 def dis_grid(kind: str, axes: Mapping[str, Sequence[float]]) -> list[FilterConfig]:
     """Direct isometric sampling: the Cartesian product of per-parameter value axes.
 
@@ -41,8 +36,8 @@ def dis_grid(kind: str, axes: Mapping[str, Sequence[float]]) -> list[FilterConfi
     config twice (a repeated axis value, or values equal after the integer
     snap) is a ValueError naming that config.
     """
-    names = list(axes)
-    configs = [make_config(kind, dict(zip(names, c))) for c in itertools.product(*axes.values())]
+    names, cls = list(axes), filters._kind(kind)
+    configs = [cls.from_params(dict(zip(names, c))) for c in itertools.product(*axes.values())]
     seen: set[FilterConfig] = set()
     for cfg in configs:
         if cfg in seen:
@@ -126,7 +121,7 @@ def calibrate(
     calib_pairs: Sequence[tuple[Image, Image]],
     threads: int = 1,
 ) -> list[Candidate]:
-    """Score each candidate by mean PSNR of apply(degraded, cfg) vs clean;
+    """Score each candidate by mean PSNR of cfg.apply(degraded) vs clean;
     candidates that share a kernel run are scored from one basis per pair.
 
     Returns candidates sorted ascending by score; ties keep input order.
@@ -312,30 +307,13 @@ _BILATERAL_PRESET_9 = (
 _MEDIAN_SHAPES = ((3, 3), (3, 5), (3, 7), (3, 9), (5, 5), (5, 7), (5, 9), (7, 7))
 
 
-def bilateral_candidate_grid() -> list[FilterConfig]:
-    """The dense 77-candidate bilateral grid used for calibration."""
-    return parse_grid(BILATERAL_CANDIDATE_GRID)
-
-
-def bilateral_preset() -> list[FilterConfig]:
-    """Magnitude-9 bilateral basis selected by indirect isometric sampling."""
-    return [parse_config(text) for text in _BILATERAL_PRESET_9]
-
-
-def median_preset() -> list[FilterConfig]:
-    """The eight median window shapes."""
-    return [filters.Median(k1, k2) for k1, k2 in _MEDIAN_SHAPES]
-
-
-def rgf_preset() -> list[FilterConfig]:
-    """Eight rolling-guidance combinations: sr x ss x iterations, window 9."""
-    return parse_grid("rgf:sr=0.2|0.5,ss=3|6,k=9,t=2|4")
-
-
+# Each preset is built afresh by a zero-argument call: bilateral9 the nine
+# configs above, median8 the eight window shapes, rgf8 the rolling-guidance
+# combinations sr x ss x iterations at window 9.
 BUILTIN_PRESETS: dict[str, Callable[[], list[FilterConfig]]] = {
-    "bilateral9": bilateral_preset,
-    "median8": median_preset,
-    "rgf8": rgf_preset,
+    "bilateral9": lambda: [parse_config(text) for text in _BILATERAL_PRESET_9],
+    "median8": lambda: [filters.Median(k1, k2) for k1, k2 in _MEDIAN_SHAPES],
+    "rgf8": lambda: parse_grid("rgf:sr=0.2|0.5,ss=3|6,k=9,t=2|4"),
 }
 
 

@@ -16,7 +16,6 @@ import warnings
 from pathlib import Path
 from typing import Sequence
 
-from . import filters
 from .basis import (
     BILATERAL_CANDIDATE_GRID,
     BUILTIN_PRESETS,
@@ -33,7 +32,7 @@ from .basis import (
 from .filters import FilterConfig, parse_config
 from .metrics import MetricReport
 from .model import LOSS_KINDS, LossWeights, forward, load_model, save_model
-from .noise import add_gaussian_noise, add_impulse_noise
+from .noise import DEGRADATIONS
 from .pnm import read_image, write_image
 from .trainer import (
     ADAM,
@@ -76,10 +75,6 @@ def _load_preset(spec: str) -> list[FilterConfig]:
     return read_preset(spec)
 
 
-def _load_dataset(path: str, seed: int) -> list:
-    return DatasetSpec.read(path).load(seed)
-
-
 def _thread_count(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -113,18 +108,19 @@ def _check_outputs(args) -> None:
 
 
 def _run_training(args, run):
-    """``run(samples, configs, cfg, ...)``, that is ``train`` or
-    ``ablate_residual``, over the flags' preset, data, validation set, recipe
-    and plane cache.  The recipe is checked first, so a bad recipe flag is a
-    usage error whatever the data; then the outputs, before any data is read."""
+    """The recipe and ``run(samples, configs, cfg, ...)``, that is ``train``
+    or ``ablate_residual``, over the flags' preset, data, validation set,
+    recipe and plane cache.  The recipe is checked first, so a bad recipe
+    flag is a usage error whatever the data; then the outputs, before any
+    data is read."""
     cfg = _training_config(args)
     _check_outputs(args)
     configs = _load_preset(args.preset)
     spec = DatasetSpec.read(args.data)
     samples = spec.load(args.seed)
-    val_samples = _load_dataset(args.val, args.seed) if args.val else None
+    val_samples = DatasetSpec.read(args.val).load(args.seed) if args.val else None
     cache = FBCache(args.cache) if args.cache else None
-    return run(
+    return cfg, run(
         samples, configs, cfg, val_samples=val_samples,
         val_fraction=spec.val_fraction, threads=args.threads, cache=cache,
     )
@@ -174,11 +170,8 @@ def _cmd_noise(args) -> int:
     if (args.gaussian is None) == (args.impulse is None):
         raise _UsageError("noise: exactly one of --gaussian or --impulse is required")
     _check_outputs(args)
-    img = read_image(args.input)
-    if args.gaussian is not None:
-        out = add_gaussian_noise(img, args.gaussian, args.seed)
-    else:
-        out = add_impulse_noise(img, args.impulse, args.seed)
+    kind = "gaussian" if args.gaussian is not None else "impulse"  # each flag names its degradation
+    out = DEGRADATIONS[kind](read_image(args.input), getattr(args, kind), args.seed)
     write_image(out, args.output, ascii_format=args.ascii)
     return EXIT_OK
 
@@ -187,7 +180,7 @@ def _cmd_filter(args) -> int:
     _check_outputs(args)
     cfg = parse_config(args.config)
     img = read_image(args.input)
-    write_image(filters.apply(img, cfg), args.output, ascii_format=args.ascii)
+    write_image(cfg.apply(img), args.output, ascii_format=args.ascii)
     return EXIT_OK
 
 
@@ -202,7 +195,7 @@ def _cmd_calibrate(args) -> int:
             f"got {args.select}"
         )
     _check_outputs(args)
-    samples = _load_dataset(args.pairs, args.seed)
+    samples = DatasetSpec.read(args.pairs).load(args.seed)
     pairs = [(s.degraded, s.clean) for s in samples]
     scored = calibrate(candidates, pairs, threads=args.threads)
     selected = iis_select(scored, args.select)
@@ -214,8 +207,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    model, history = _run_training(args, train)
-    cfg, best = _training_config(args), history.best
+    cfg, (model, history) = _run_training(args, train)
+    best = history.best
     training_info = {
         "loss_kind": cfg.loss_kind,
         "alpha": cfg.loss.alpha,
@@ -263,7 +256,7 @@ def _print_report(report: MetricReport) -> None:
 def _cmd_eval(args) -> int:
     _check_outputs(args)
     model = load_model(args.model)
-    samples = _load_dataset(args.data, args.seed)
+    samples = DatasetSpec.read(args.data).load(args.seed)
     cache = FBCache(args.cache) if args.cache else None
     report = evaluate(model, samples, threads=args.threads, cache=cache)
     _print_report(report)
@@ -274,7 +267,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    report = _run_training(args, ablate_residual)
+    _, report = _run_training(args, ablate_residual)
     lines = [
         f"dual_branch_psnr_db={report.dual_branch_psnr!r}",
         f"content_only_psnr_db={report.content_only_psnr!r}",

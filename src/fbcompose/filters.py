@@ -58,7 +58,7 @@ class FilterConfig:
     @classmethod
     def apply_group(cls, a: Image, cfgs: Sequence["FilterConfig"]) -> list[Image]:
         """The plane of every config of one group, in order."""
-        return [apply(a, cfg) for cfg in cfgs]
+        return [cfg.apply(a) for cfg in cfgs]
 
     def canonical(self) -> str:
         parts = []
@@ -264,13 +264,17 @@ def gaussian_kernel1d(sigma_spatial: float) -> np.ndarray:
     return taps / taps.sum()
 
 
+def _correlate_valid(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    """1-D correlation along ``axis`` over every full window: that axis
+    shrinks by ``taps.size - 1``."""
+    return np.lib.stride_tricks.sliding_window_view(arr, taps.size, axis=axis) @ taps
+
+
 def _correlate_edge(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     radius = taps.size // 2
     pad = [(0, 0)] * arr.ndim
     pad[axis] = (radius, radius)
-    padded = np.pad(arr, pad, mode="edge")
-    view = np.lib.stride_tricks.sliding_window_view(padded, taps.size, axis=axis)
-    return view @ taps
+    return _correlate_valid(np.pad(arr, pad, mode="edge"), taps, axis)
 
 
 def gaussian_blur(a: Image, sigma_spatial: float) -> Image:
@@ -403,10 +407,3 @@ def rolling_guidance(
     for _ in range(cfg.iterations):
         chain.append(joint_bilateral(a, chain[-1], cfg.sigma_spatial, cfg.sigma_range, cfg.window))
     return chain[-1] if at is None else [chain[t] for t in at]
-
-
-def apply(a: Image, cfg: FilterConfig) -> Image:
-    """Run an image through the kernel its config declares."""
-    if not isinstance(cfg, FilterConfig):
-        raise TypeError(f"unknown filter config: {cfg!r}")
-    return cfg.apply(a)

@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .filters import gaussian_kernel1d
+from .filters import _correlate_valid, gaussian_kernel1d
 from .image import Image
 
 # Zero-MSE pairs report this finite sentinel instead of infinity so reports
@@ -35,9 +35,7 @@ def psnr(a: Image, b: Image) -> float:
 
 def _windowed_valid(plane: np.ndarray) -> np.ndarray:
     """Gaussian-weighted means over every full window, as two 1-D passes."""
-    k = SSIM_WINDOW
-    rows = np.lib.stride_tricks.sliding_window_view(plane, k, axis=0) @ _SSIM_TAPS
-    return np.lib.stride_tricks.sliding_window_view(rows, k, axis=1) @ _SSIM_TAPS
+    return _correlate_valid(_correlate_valid(plane, _SSIM_TAPS, 0), _SSIM_TAPS, 1)
 
 
 def ssim(a: Image, b: Image) -> float:
@@ -82,10 +80,6 @@ def tv_of_array(arr: np.ndarray) -> float:
     dx = float(np.abs(arr[..., :, 1:] - arr[..., :, :-1]).sum())
     dy = float(np.abs(arr[..., 1:, :] - arr[..., :-1, :]).sum())
     return (dx + dy) / (height * width)
-
-
-def total_variation(a: Image) -> float:
-    return tv_of_array(a.data)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,6 @@ from fbcompose import (
     TrainingConfig,
     ablate_residual,
     bilateral,
-    bilateral_candidate_grid,
-    bilateral_preset,
     build_basis,
     evaluate,
     forward,
@@ -37,7 +35,7 @@ from fbcompose import (
     train,
     write_image,
 )
-from fbcompose.basis import FilteredBasis
+from fbcompose.basis import BILATERAL_CANDIDATE_GRID, BUILTIN_PRESETS, FilteredBasis, parse_grid
 from fbcompose.cli import run
 from fbcompose.filters import Gaussian, RollingGuidance
 from fbcompose.image import Image
@@ -173,7 +171,7 @@ def desk_suite():
 
 def test_criterion_3_beats_best_basis_plane(desk_suite):
     train_samples, held_out = desk_suite
-    configs = bilateral_preset()
+    configs = BUILTIN_PRESETS["bilateral9"]()
     begin = time.perf_counter()
     model, history = train(train_samples, configs, TrainingConfig(seed=5), val_samples=held_out)
     elapsed = time.perf_counter() - begin
@@ -201,7 +199,7 @@ def test_criterion_3_beats_best_basis_plane(desk_suite):
 
 def test_criterion_4_residual_branch_ablation_trend(desk_suite):
     train_samples, held_out = desk_suite
-    configs = bilateral_preset()
+    configs = BUILTIN_PRESETS["bilateral9"]()
     report = ablate_residual(
         train_samples, configs, TrainingConfig(seed=5), val_samples=held_out
     )
@@ -220,7 +218,7 @@ def test_criterion_4_residual_branch_ablation_trend(desk_suite):
 
 
 def test_criterion_5_iis_structure_on_77_grid():
-    configs = bilateral_candidate_grid()
+    configs = parse_grid(BILATERAL_CANDIDATE_GRID)
     assert len(configs) == 77
     # Synthetic calibration scores spanning exactly (20, 45) dB.
     rng = np.random.default_rng(1005)
@@ -342,7 +340,7 @@ def _median_seconds(fn, clock, repetitions=3) -> float:
 
 def test_criterion_8_cost_model_linearity():
     image = synthetic_clean(500, width=481, height=321)
-    configs = bilateral_preset()
+    configs = BUILTIN_PRESETS["bilateral9"]()
     magnitudes = (1, 3, 9)
     # A serial build runs in the calling thread, so its thread CPU time is
     # the whole build and other processes do not move it.  forward's matmul
@@ -402,7 +400,7 @@ def test_criterion_9_optional_full_scale_bsd():
     train_samples = load_pairs(train_dir, 10_000)
     eval_samples = load_pairs(eval_dir, 20_000)
     model, _ = train(
-        train_samples, bilateral_preset(), TrainingConfig(seed=0),
+        train_samples, BUILTIN_PRESETS["bilateral9"](), TrainingConfig(seed=0),
         val_samples=eval_samples, threads=8,
     )
     report = evaluate(model, eval_samples, threads=8)

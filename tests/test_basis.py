@@ -15,25 +15,19 @@ from fbcompose import (
     RollingGuidance,
     add_gaussian_noise,
     add_impulse_noise,
-    bilateral_candidate_grid,
-    bilateral_preset,
     build_basis,
     build_residuals,
     calibrate,
     dis_grid,
     iis_select,
-    make_config,
     median,
-    median_preset,
     parse_config,
     parse_grid,
     psnr,
     read_preset,
-    rgf_preset,
     write_preset,
 )
-from fbcompose import filters
-from fbcompose.basis import write_calibration_report
+from fbcompose.basis import BILATERAL_CANDIDATE_GRID, BUILTIN_PRESETS, write_calibration_report
 from fbcompose.filters import KINDS
 
 from synth import synthetic_clean
@@ -51,7 +45,7 @@ def _bilateral_grid(c1, c2, k=15):
 def test_dis_grid_77_candidates():
     configs = _bilateral_grid(11, 7)
     assert len(configs) == 77
-    assert configs == bilateral_candidate_grid()
+    assert configs == parse_grid(BILATERAL_CANDIDATE_GRID)
     # Endpoints included, first range varies slowest.
     assert configs[0] == Bilateral(0.1, 0.5, 15)
     assert configs[1] == Bilateral(0.1, 1.0, 15)
@@ -120,30 +114,36 @@ def test_dis_grid_rejects_repeated_configs():
         dis_grid("median", {"k1": (5, 5), "k2": (3,)})
 
 
-def test_make_config_errors():
+def _one_config(kind, params):
+    """The single config of a grid whose every axis holds one value."""
+    (cfg,) = dis_grid(kind, {name: (value,) for name, value in params.items()})
+    return cfg
+
+
+def test_dis_grid_config_errors():
     with pytest.raises(ValueError):
-        make_config("bilateral", {"ss": 1.0})  # missing params
+        _one_config("bilateral", {"ss": 1.0})  # missing params
     with pytest.raises(ValueError):
-        make_config("nope", {"ss": 1.0})
+        _one_config("nope", {"ss": 1.0})
     with pytest.raises(ValueError):
-        make_config("median", {"k1": 3.5, "k2": 3})  # non-integer window
+        _one_config("median", {"k1": 3.5, "k2": 3})  # non-integer window
     for kind, cls in KINDS.items():
         params = {short: 3.0 if is_int else 0.75 for short, _, is_int in cls.PARAMS}
-        assert make_config(kind.upper(), params) == cls(*params.values())
+        assert _one_config(kind.upper(), params) == cls(*params.values())
         for short, _, is_int in cls.PARAMS:
             missing = {k: v for k, v in params.items() if k != short}
             with pytest.raises(ValueError, match=repr(short)):
-                make_config(kind, missing)
+                _one_config(kind, missing)
             if is_int:
                 for bad in (3.5, float("inf"), float("nan")):
                     with pytest.raises(ValueError, match=f"{short!r} must be an integer"):
-                        make_config(kind, {**params, short: bad})
+                        _one_config(kind, {**params, short: bad})
                 # Grid values within 1e-9 of an integer snap to it.
-                assert make_config(kind, {**params, short: 3.0 + 1e-10}) == cls(
+                assert _one_config(kind, {**params, short: 3.0 + 1e-10}) == cls(
                     *params.values()
                 )
         with pytest.raises(ValueError, match="unknown parameter 'kk'"):
-            make_config(kind, {**params, "kk": 3.0})
+            _one_config(kind, {**params, "kk": 3.0})
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_calibrate_mixed_grid_equals_per_config_reference(threads):
         rgf(0.5, 3),
     ]
     expected = [
-        Candidate(cfg, float(np.mean([psnr(filters.apply(d, cfg), c) for d, c in pairs])))
+        Candidate(cfg, float(np.mean([psnr(cfg.apply(d), c) for d, c in pairs])))
         for cfg in candidates
     ]
     expected.sort(key=lambda cand: cand.score)
@@ -438,20 +438,20 @@ def test_residual_constant_offset_plane():
 
 
 def test_preset_magnitudes():
-    assert len(bilateral_preset()) == 9
-    assert len(median_preset()) == 8
-    assert len(rgf_preset()) == 8
+    assert len(BUILTIN_PRESETS["bilateral9"]()) == 9
+    assert len(BUILTIN_PRESETS["median8"]()) == 8
+    assert len(BUILTIN_PRESETS["rgf8"]()) == 8
 
 
 def test_median_preset_window_shapes():
-    shapes = [(cfg.k1, cfg.k2) for cfg in median_preset()]
+    shapes = [(cfg.k1, cfg.k2) for cfg in BUILTIN_PRESETS["median8"]()]
     assert shapes == [(3, 3), (3, 5), (3, 7), (3, 9), (5, 5), (5, 7), (5, 9), (7, 7)]
 
 
 def test_rgf_preset_parameter_combinations():
     combos = {
         (cfg.sigma_range, cfg.sigma_spatial, cfg.window, cfg.iterations)
-        for cfg in rgf_preset()
+        for cfg in BUILTIN_PRESETS["rgf8"]()
     }
     assert combos == {
         (sr, ss, 9, t) for sr in (0.2, 0.5) for ss in (3.0, 6.0) for t in (2, 4)
@@ -459,7 +459,7 @@ def test_rgf_preset_parameter_combinations():
 
 
 def test_rgf_preset_order_and_canonical_strings():
-    configs = rgf_preset()
+    configs = BUILTIN_PRESETS["rgf8"]()
     assert configs == [
         RollingGuidance(sigma_range=sr, sigma_spatial=ss, window=9, iterations=t)
         for sr in (0.2, 0.5)
@@ -472,15 +472,15 @@ def test_rgf_preset_order_and_canonical_strings():
 
 
 def test_bilateral_preset_is_from_candidate_grid():
-    grid = set(bilateral_candidate_grid())
-    for cfg in bilateral_preset():
+    grid = set(parse_grid(BILATERAL_CANDIDATE_GRID))
+    for cfg in BUILTIN_PRESETS["bilateral9"]():
         assert cfg in grid
         assert cfg.window == 15
 
 
 def test_preset_round_trip_via_manifest(tmp_path):
     path = tmp_path / "preset.txt"
-    configs = bilateral_preset()
+    configs = BUILTIN_PRESETS["bilateral9"]()
     write_preset(configs, path)
     assert read_preset(path) == configs
     # Comment lines and blanks are ignored.
@@ -546,13 +546,13 @@ def test_fb_cache_hit_skips_recomputation(tmp_path, monkeypatch):
     build_basis(img, configs, cache=cache)
 
     calls = {"n": 0}
-    real_apply = basis_mod.filters.apply
+    real_median = basis_mod.filters.median
 
-    def counting_apply(*args, **kwargs):
+    def counting_median(*args, **kwargs):
         calls["n"] += 1
-        return real_apply(*args, **kwargs)
+        return real_median(*args, **kwargs)
 
-    monkeypatch.setattr(basis_mod.filters, "apply", counting_apply)
+    monkeypatch.setattr(basis_mod.filters, "median", counting_median)
     build_basis(img, configs, cache=cache)
     assert calls["n"] == 0
 
@@ -625,7 +625,7 @@ def test_fb_cache_digests_the_source_once_per_warm_build(tmp_path, monkeypatch):
     import hashlib
 
     img = synthetic_clean(80, width=12, height=10, channels=3)
-    configs = bilateral_preset()
+    configs = BUILTIN_PRESETS["bilateral9"]()
     cache = FBCache(tmp_path / "cache")
     build_basis(img, configs, threads=2, cache=cache)
 

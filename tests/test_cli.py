@@ -12,7 +12,6 @@ from fbcompose import (
     DatasetSpec,
     Median,
     TrainingConfig,
-    bilateral_preset,
     init_model,
     load_model,
     read_image,

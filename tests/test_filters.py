@@ -11,7 +11,6 @@ from fbcompose import (
     Median,
     RollingGuidance,
     add_gaussian_noise,
-    apply,
     bilateral,
     filters,
     gaussian_blur,
@@ -21,7 +20,7 @@ from fbcompose import (
     parse_grid,
     rolling_guidance,
 )
-from fbcompose.basis import bilateral_preset
+from fbcompose.basis import BUILTIN_PRESETS
 from fbcompose.filters import KINDS, gaussian_kernel1d
 from fbcompose.image import GRID_BITS
 
@@ -369,10 +368,10 @@ def test_bilateral_window_1_returns_source():
 
 def test_bilateral9_sharpest_plane_equals_its_source():
     # Its nearest spatial weight, exp(-50), lies below the 2**-48 grid.
-    cfg = bilateral_preset()[0]
+    cfg = BUILTIN_PRESETS["bilateral9"]()[0]
     assert cfg == Bilateral(0.1, 0.5, 15)
     for sample in denoising_samples(5, seed=64):
-        assert apply(sample.degraded, cfg) == sample.degraded
+        assert cfg.apply(sample.degraded) == sample.degraded
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +500,11 @@ def test_rgf_library_composition_is_bitwise():
 
 def test_apply_dispatch_identities():
     img = synthetic_clean(51, width=10, height=9)
-    assert apply(img, Median(3, 3)) == median(img, 3, 3)
-    assert apply(img, Bilateral(1.0, 0.5, 5)) == bilateral(img, 1.0, 0.5, 5)
-    assert apply(img, Gaussian(1.3)) == gaussian_blur(img, 1.3)
+    assert Median(3, 3).apply(img) == median(img, 3, 3)
+    assert Bilateral(1.0, 0.5, 5).apply(img) == bilateral(img, 1.0, 0.5, 5)
+    assert Gaussian(1.3).apply(img) == gaussian_blur(img, 1.3)
     cfg = RollingGuidance(0.2, 1.5, 5, 1)
-    assert apply(img, cfg) == rolling_guidance(img, cfg)
-
-
-def test_apply_rejects_unknown_config():
-    with pytest.raises(TypeError):
-        apply(Image.constant(4, 4, 0.5), "median:3x3")
+    assert cfg.apply(img) == rolling_guidance(img, cfg)
 
 
 def _window_bounds(data, ry, rx):
@@ -545,7 +539,7 @@ def test_filters_preserve_shape_and_are_pure():
     img = synthetic_clean(53, width=11, height=8, channels=3)
     before = img.data.copy()
     for cfg in (Bilateral(1.0, 0.5, 5), Median(3, 3), Gaussian(0.8), RollingGuidance(0.2, 1.0, 3, 1)):
-        out = apply(img, cfg)
+        out = cfg.apply(img)
         assert out.shape == img.shape
-        assert apply(img, cfg) == out  # deterministic
+        assert cfg.apply(img) == out  # deterministic
     assert np.array_equal(img.data, before)

@@ -19,11 +19,10 @@ from fbcompose import (
     ablate_residual,
     adam_step,
     add_gaussian_noise,
-    bilateral_preset,
+    BUILTIN_PRESETS,
     build_basis,
     evaluate,
     lr_at,
-    median_preset,
     psnr,
     train,
     write_image,
@@ -383,7 +382,7 @@ def test_train_divergence_is_the_error_even_with_runtime_warnings_as_errors():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="training diverged at epoch 0"):
-            train(samples, median_preset(), cfg, val_samples=samples)
+            train(samples, BUILTIN_PRESETS["median8"](), cfg, val_samples=samples)
 
 
 def _reference_train(samples, configs, cfg, val_samples):
@@ -457,7 +456,7 @@ def desk_mse_optimum():
     """The desk-scale training suite, its mean Gram matrix and the optimum
     that alternating exact least squares reaches from the uniform start."""
     samples = denoising_samples(20, seed=31, sigma255=25.0)
-    configs = bilateral_preset()
+    configs = BUILTIN_PRESETS["bilateral9"]()
     bases = [build_basis(s.degraded, configs) for s in samples]
     gram = oracle_mean_gram(bases, [s.clean for s in samples])
     lw = LossWeights()
