@@ -11,7 +11,9 @@ scores evenly instead, which removes near-duplicate configurations.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import io
 import itertools
 import os
 import threading
@@ -379,6 +381,17 @@ def write_calibration_report(scored: Sequence[Candidate], path) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _npy_header(shape: tuple[int, ...]) -> bytes:
+    """The version-1.0 header ``np.save`` writes for a C-order float64 array of ``shape``."""
+    header = io.BytesIO()
+    descr = np.lib.format.dtype_to_descr(np.dtype(np.float64))
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": descr, "fortran_order": False, "shape": shape}
+    )
+    return header.getvalue()
+
+
 class FBCache:
     """Content-addressed plane cache: one ``.npy`` file per (source, config).
 
@@ -387,7 +400,9 @@ class FBCache:
     the config key the canonical form salted with ``filters.KERNEL_VERSION``,
     so a change to source, config or kernel version misses cleanly.  Planes
     are stored losslessly; the 8-bit file formats would quantize them and
-    make cached and fresh runs diverge.
+    make cached and fresh runs diverge.  Each file is exactly what ``np.save``
+    writes for the plane as a C-order float64 array: the ``_npy_header`` of its
+    shape, then its bytes.  Any other file is a miss.
     """
 
     def __init__(self, root) -> None:
@@ -403,29 +418,45 @@ class FBCache:
         return self.root / img._digest[:16] / (self._config_key(cfg) + ".npy")
 
     def get(self, img: Image, cfg: FilterConfig, out: np.ndarray | None = None) -> Image | None:
-        """The stored plane, or None if no readable file of ``img``'s shape is there.
-        A hit is checked finite and snapped as Image snaps, into ``out`` or a new array."""
+        """The stored plane, or None unless the file is ``_npy_header(img.shape)``
+        followed by exactly one plane of bytes.  A hit is read straight into
+        ``out`` (a writeable C-contiguous float64 array of ``img.shape``, else a
+        ValueError) or a new array, then checked finite and snapped as Image
+        snaps, in place.  On a miss ``out`` holds no defined values."""
+        if out is not None and not (
+            out.dtype == np.float64 and out.shape == img.shape
+            and out.flags.c_contiguous and out.flags.writeable
+        ):
+            raise ValueError(f"out must be a writeable C-contiguous float64 array of {img.shape}")
         path = self.path_for(img, cfg)
+        header = _npy_header(img.shape)
         try:
-            arr = np.load(path)
-        except (OSError, ValueError, EOFError):  # missing, corrupt or empty
+            with open(path, "rb") as file:
+                if file.read(len(header)) != header:
+                    return None
+                plane = np.empty(img.shape) if out is None else out
+                if file.readinto(plane) != plane.nbytes or file.read(1):
+                    return None
+        except OSError:  # missing or unreadable
             return None
-        if arr.shape != img.shape:
-            return None
-        if not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(plane)):
             raise ValueError(f"cache file {path}: image data must be finite")
-        plane = snap_unit(arr, out=out)
+        snap_unit(plane, out=plane)
         plane.setflags(write=False)
         return Image._wrap(plane)
 
     def put(self, img: Image, cfg: FilterConfig, plane: Image) -> None:
+        """Store ``plane`` as ``np.save`` would store its C-order copy."""
         path = self.path_for(img, cfg)
         path.parent.mkdir(parents=True, exist_ok=True)
+        data = np.ascontiguousarray(plane.data)
         # A temp file per writer: concurrent puts of one key (threads or
         # processes sharing the directory) must not write into one file.
         tmp = path.with_name(f"{path.stem}.{os.getpid()}-{threading.get_ident()}.tmp.npy")
         try:
-            np.save(tmp, plane.data)
+            with open(tmp, "wb") as file:
+                file.write(_npy_header(data.shape))
+                file.write(data)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)

@@ -15,7 +15,6 @@ import pytest
 from fbcompose import (
     Candidate,
     LossWeights,
-    Median,
     TrainingConfig,
     ablate_residual,
     bilateral,
@@ -39,11 +38,7 @@ from fbcompose.basis import BILATERAL_CANDIDATE_GRID, BUILTIN_PRESETS, FilteredB
 from fbcompose.cli import run
 from fbcompose.filters import Gaussian, RollingGuidance
 from fbcompose.image import Image
-from fbcompose.model import (
-    CompositionModel,
-    model_to_vector,
-    vector_to_model,
-)
+from fbcompose.model import CompositionModel
 
 from oracles import oracle_gaussian_2d, oracle_joint_bilateral, oracle_median
 from synth import denoising_samples, synthetic_clean

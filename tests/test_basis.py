@@ -1,3 +1,4 @@
+import io
 import re
 from concurrent.futures import ThreadPoolExecutor
 
@@ -738,3 +739,104 @@ def test_fb_cache_key_covers_kernel_version(tmp_path, monkeypatch):
     # Each version keeps its own entry.
     assert len(list(cache.path_for(img, cfg).parent.iterdir())) == 2
     assert cache.get(img, cfg) == plane
+
+
+def test_fb_cache_warm_build_reads_planes_straight_into_the_stack(tmp_path):
+    import tracemalloc
+
+    img = synthetic_clean(86, width=64, height=64, channels=3)
+    configs = BUILTIN_PRESETS["bilateral9"]()
+    cache = FBCache(tmp_path / "cache")
+    build_basis(img, configs, cache=cache)  # also takes the source digest
+    tracemalloc.start()
+    try:
+        warm = build_basis(img, configs, cache=cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # No plane-sized buffer per hit: only the stack and small temporaries.
+    assert peak < warm.stack.nbytes + img.data.nbytes / 2
+
+
+def _npy_bytes(arr: np.ndarray) -> bytes:
+    handle = io.BytesIO()
+    np.save(handle, arr)
+    return handle.getvalue()
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_fb_cache_file_is_what_np_save_writes(tmp_path, channels):
+    img = synthetic_clean(87, width=11, height=7, channels=channels)
+    cfg = Median(3, 3)
+    plane = build_basis(img, [cfg]).planes[0]
+    cache = FBCache(tmp_path / "cache")
+    cache.put(img, cfg, plane)
+    assert cache.path_for(img, cfg).read_bytes() == _npy_bytes(plane.data)
+
+
+@pytest.mark.parametrize(
+    "layout", [np.asfortranarray, lambda data: np.repeat(data, 2, axis=2)[:, :, ::2]],
+    ids=["fortran", "strided"],
+)
+def test_fb_cache_puts_any_plane_layout_in_c_order(tmp_path, layout):
+    img = synthetic_clean(88, width=9, height=8, channels=3)
+    cfg = Median(3, 3)
+    fresh = build_basis(img, [cfg]).planes[0]
+    plane = Image._wrap(layout(fresh.data))
+    assert not plane.data.flags.c_contiguous and plane == fresh
+    cache = FBCache(tmp_path / "cache")
+    cache.put(img, cfg, plane)
+    assert cache.path_for(img, cfg).read_bytes() == _npy_bytes(fresh.data)
+    assert cache.get(img, cfg) == fresh
+
+
+def _float32(path, plane):
+    np.save(path, plane.astype(np.float32))
+
+
+def _fortran(path, plane):
+    np.save(path, np.asfortranarray(plane))
+
+
+def _version_2(path, plane):
+    with open(path, "wb") as handle:
+        np.lib.format.write_array(handle, plane, version=(2, 0))
+
+
+def _trailing_byte(path, plane):
+    path.write_bytes(_npy_bytes(plane) + b"\0")
+
+
+def _short_payload(path, plane):
+    path.write_bytes(_npy_bytes(plane)[:-1])
+
+
+@pytest.mark.parametrize(
+    "write", [_float32, _fortran, _version_2, _trailing_byte, _short_payload],
+    ids=lambda write: write.__name__.lstrip("_"),
+)
+def test_fb_cache_foreign_file_is_a_miss_and_rewritten(tmp_path, write):
+    img = synthetic_clean(89, width=10, height=9, channels=3)
+    cfg = Median(3, 3)
+    cold = build_basis(img, [cfg]).planes[0]
+    cache = FBCache(tmp_path / "cache")
+    path = cache.path_for(img, cfg)
+    path.parent.mkdir(parents=True)
+    write(path, cold.data)
+    assert path.read_bytes() != _npy_bytes(cold.data)
+    assert cache.get(img, cfg) is None
+    assert build_basis(img, [cfg], cache=cache).planes[0].data.tobytes() == cold.data.tobytes()
+    assert path.read_bytes() == _npy_bytes(cold.data)
+
+
+@pytest.mark.parametrize(
+    "out", [np.empty((3, 9, 20))[:, :, ::2], np.empty((3, 10, 9)), np.empty((1, 9, 10))],
+    ids=["strided", "wrong_shape", "gray"],
+)
+def test_fb_cache_get_into_a_wrong_out_is_an_error(tmp_path, out):
+    img = synthetic_clean(90, width=10, height=9, channels=3)
+    cfg = Median(3, 3)
+    cache = FBCache(tmp_path / "cache")
+    build_basis(img, [cfg], cache=cache)
+    with pytest.raises(ValueError, match="out must be"):
+        cache.get(img, cfg, out)

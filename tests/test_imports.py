@@ -1,5 +1,5 @@
-"""Every name a source module imports is used in that module, and the
-package exports exactly the names its ``__init__.py`` imports."""
+"""Every name a source or test module imports is used in that module, and
+the package exports exactly the names its ``__init__.py`` imports."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ import fbcompose
 
 INIT = Path(fbcompose.__file__)
 MODULES = sorted(path for path in INIT.parent.glob("*.py") if path != INIT)
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _imported_names(tree: ast.AST) -> dict[str, int]:
@@ -36,7 +37,9 @@ def test_unused_import_is_found():
     assert _unused_imports(source) == ["regex (line 3)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS, ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS]
+)
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(path.read_text()) == [], f"{path.name} imports names it never uses"
 

@@ -10,7 +10,6 @@ from fbcompose import (
     Image,
     LossWeights,
     Median,
-    build_basis,
     build_residuals,
     forward,
     gradients,
