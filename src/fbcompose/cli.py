@@ -16,6 +16,7 @@ import warnings
 from pathlib import Path
 from typing import Sequence
 
+from . import noise
 from .basis import (
     BILATERAL_CANDIDATE_GRID,
     BUILTIN_PRESETS,
@@ -32,7 +33,6 @@ from .basis import (
 from .filters import FilterConfig, parse_config
 from .metrics import MetricReport
 from .model import LOSS_KINDS, LossWeights, forward, load_model, save_model
-from .noise import DEGRADATIONS
 from .pnm import read_image, write_image
 from .trainer import (
     ADAM,
@@ -171,7 +171,8 @@ def _cmd_noise(args) -> int:
         raise _UsageError("noise: exactly one of --gaussian or --impulse is required")
     _check_outputs(args)
     kind = "gaussian" if args.gaussian is not None else "impulse"  # each flag names its degradation
-    out = DEGRADATIONS[kind](read_image(args.input), getattr(args, kind), args.seed)
+    add_noise = getattr(noise, noise.DEGRADATIONS[kind])
+    out = add_noise(read_image(args.input), getattr(args, kind), args.seed)
     write_image(out, args.output, ascii_format=args.ascii)
     return EXIT_OK
 

@@ -288,6 +288,22 @@ def gaussian_blur(a: Image, sigma_spatial: float) -> Image:
     return Image(out)
 
 
+def _offset_pairs(sigma_spatial: float, window: int) -> list[tuple[int, int, float]]:
+    """The ``(dy, dx, spatial exponent)`` of each pair of opposite offsets a
+    bilateral sum takes in, in the half window's raster order (dy > 0, or
+    dy == 0 and dx > 0), leaving out those lighter than exp(_SKIP_EXPONENT):
+    under half an ulp of every sum that starts nonzero, at 1 or at a value
+    of 2**-GRID_BITS or more, so only a value whose input is 0 can move."""
+    radius = window // 2
+    inv_ss = 1.0 / (2.0 * sigma_spatial * sigma_spatial)
+    return [
+        (dy, dx, spatial)
+        for dy in range(radius + 1)
+        for dx in range(-radius if dy else 1, radius + 1)
+        if (spatial := -(dy * dy + dx * dx) * inv_ss) >= _SKIP_EXPONENT
+    ]
+
+
 def joint_bilateral(
     a: Image, guide: Image, sigma_spatial: float, sigma_range: float, window: int
 ) -> Image:
@@ -298,17 +314,9 @@ def joint_bilateral(
     * a(q), where f and g are Gaussians of the given sigmas and the range
     distance is the Euclidean distance over guide's channel vector.
 
-    The weight is symmetric, w(p, p+o) == w(p+o, p), so each pair of
-    opposite offsets +o/-o computes its weights once.  Both sums start at
-    the centre, whose weight is exactly 1, and then add each offset of the
-    half window in raster order (dy > 0, or dy == 0 and dx > 0) followed by
-    its opposite; this order is what ``KERNEL_VERSION`` 2 names.
-
-    Offset pairs whose spatial weight lies below 2**-(GRID_BITS + 54) are
-    skipped: that is below half an ulp of every running sum that starts
-    nonzero (the denominator starts at 1, a nonzero value at 2**-GRID_BITS
-    or more), so against version 2's unskipped sums only a value whose own
-    input is 0 can move, by at most one grid step.
+    The weight is symmetric, w(p, p+o) == w(p+o, p), so each pair +o/-o of
+    ``_offset_pairs`` computes its weights once.  Both sums start at the
+    centre, whose weight is exactly 1, and add each pair in order, +o first.
 
     Pixels are addressed along whole padded rows of length ``row``, so the
     neighbour (y+dy, x+dx) of every output pixel lies ``dy*row + dx`` further
@@ -329,7 +337,6 @@ def joint_bilateral(
     pad = ((0, 0), (radius, radius), (radius, radius))
     flat_src = np.pad(a.data, pad, mode="edge").reshape(channels, -1)
     flat_ref = flat_src if guide is a else np.pad(guide.data, pad, mode="edge").reshape(channels, -1)
-    inv_ss = 1.0 / (2.0 * sigma_spatial * sigma_spatial)
     inv_sr = 1.0 / (2.0 * sigma_range * sigma_range)
 
     # One run of weights over the centres [first - o, first + span) serves
@@ -342,25 +349,21 @@ def joint_bilateral(
     sums[1:, :span] = flat_src[:, first:first + span]
     step = np.empty((channels + 1, span + first))
     delta = np.empty((channels, span + first))
-    for dy in range(radius + 1):
-        for dx in range(-radius if dy else 1, radius + 1):
-            spatial = -(dy * dy + dx * dx) * inv_ss
-            if spatial < _SKIP_EXPONENT:
-                continue  # too light to change any sum that starts nonzero
-            o = dy * row + dx
-            weight, diff = step[0, :span + o], delta[:, :span + o]
-            np.subtract(flat_ref[:, first:first + span + o], flat_ref[:, first - o:first + span], out=diff)
-            if channels == 1:
-                np.multiply(diff[0], diff[0], out=weight)
-            else:
-                np.einsum("cn,cn->n", diff, diff, out=weight)
-            np.multiply(weight, inv_sr, out=weight)
-            np.subtract(spatial, weight, out=weight)
-            np.exp(weight, out=weight)
-            for lo, start in ((o, first + o), (0, first - o)):
-                side = step[:, lo:lo + span]
-                np.multiply(side[0], flat_src[:, start:start + span], out=side[1:])
-                sums[:, :span] += side
+    for dy, dx, spatial in _offset_pairs(sigma_spatial, window):
+        o = dy * row + dx
+        weight, diff = step[0, :span + o], delta[:, :span + o]
+        np.subtract(flat_ref[:, first:first + span + o], flat_ref[:, first - o:first + span], out=diff)
+        if channels == 1:
+            np.multiply(diff[0], diff[0], out=weight)
+        else:
+            np.einsum("cn,cn->n", diff, diff, out=weight)
+        np.multiply(weight, inv_sr, out=weight)
+        np.subtract(spatial, weight, out=weight)
+        np.exp(weight, out=weight)
+        for lo, start in ((o, first + o), (0, first - o)):
+            side = step[:, lo:lo + span]
+            np.multiply(side[0], flat_src[:, start:start + span], out=side[1:])
+            sums[:, :span] += side
     sums = sums.reshape(channels + 1, height, row)[:, :, :width]
     return Image(sums[1:] / sums[0])
 

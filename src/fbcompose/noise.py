@@ -52,5 +52,5 @@ def add_impulse_noise(a: Image, density: float, seed: int) -> Image:
     return Image(out)
 
 
-# The noise of each degradation a dataset manifest names.
-DEGRADATIONS = {"gaussian": add_gaussian_noise, "impulse": add_impulse_noise}
+# The noise function of each manifest degradation, looked up by name per call.
+DEGRADATIONS = {"gaussian": "add_gaussian_noise", "impulse": "add_impulse_noise"}

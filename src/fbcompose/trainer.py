@@ -10,6 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import noise
 from .basis import FBCache, FilteredBasis, _ordered_map, _read_text, build_basis, write_csv
 from .filters import FilterConfig
 from .image import Image
@@ -27,7 +28,6 @@ from .model import (
     model_to_vector,
     vector_to_model,
 )
-from .noise import DEGRADATIONS, check_amount
 from .pnm import read_image
 
 
@@ -192,9 +192,9 @@ class DatasetSpec:
                     entries.append(PairEntry(tokens[1], tokens[2]))
                 elif tokens[0] == "clean" and len(tokens) == 4:
                     kind = tokens[2]
-                    if kind not in DEGRADATIONS:
+                    if kind not in noise.DEGRADATIONS:
                         raise ValueError(f"unknown degradation {kind!r}")
-                    amount = check_amount(kind, float(tokens[3]))
+                    amount = noise.check_amount(kind, float(tokens[3]))
                     entries.append(RecipeEntry(tokens[1], kind, amount))
                 else:
                     raise ValueError(f"unrecognized manifest line {line!r}")
@@ -216,7 +216,8 @@ class DatasetSpec:
                 sample_id = entry.input_path
             else:
                 clean = read_image(base / entry.clean_path)
-                degraded = DEGRADATIONS[entry.kind](clean, entry.amount, derive_seed(seed, index))
+                add_noise = getattr(noise, noise.DEGRADATIONS[entry.kind])
+                degraded = add_noise(clean, entry.amount, derive_seed(seed, index))
                 sample_id = entry.clean_path
             samples.append(Sample(sample_id, degraded, clean))
         return samples

@@ -1,5 +1,6 @@
-"""The fast exact kernels against their previous forms, bit for bit, and the
-call pattern that per-kernel tracing relies on.
+"""The fast exact kernels against their previous forms, bit for bit, the
+offset pairs the bilateral kernel declares and computes, and the call
+pattern that per-kernel tracing relies on.
 
 Every plane of the three shipped presets must equal the reference kernels of
 ``oracles`` exactly (``np.array_equal``), alone and through ``build_basis``
@@ -139,6 +140,36 @@ def test_skip_threshold_keeps_and_skips_the_pair_at_its_edge(monkeypatch):
     kept, skipped = counted
     assert kept - skipped == {(0, 7), (7, 0)}
     assert skipped < kept
+
+
+def _declared(cfg) -> list:
+    return filters._offset_pairs(cfg.sigma_spatial, cfg.window)
+
+
+def test_declared_offset_pairs_are_the_reference_pairs():
+    bilateral9 = BUILTIN_PRESETS["bilateral9"]()
+    grid = parse_grid(BILATERAL_CANDIDATE_GRID)
+    rgf8 = BUILTIN_PRESETS["rgf8"]()
+    assert [len(_declared(cfg)) for cfg in bilateral9] == [2, 34, 34, 54, 54, 80, 100, 110, 112]
+    assert sum(len(_declared(cfg)) for cfg in grid) == 5208
+    assert [len(_declared(cfg)) for cfg in rgf8] == [40] * len(rgf8)  # window 9 skips none
+    for cfg in bilateral9 + grid + rgf8:
+        declared = [(dy, dx) for dy, dx, _ in _declared(cfg)]
+        assert declared == reference_offset_pairs(cfg.sigma_spatial, cfg.window), cfg.canonical()
+
+
+@pytest.mark.parametrize("image", ["gray", "colour"])
+def test_kernel_computes_exactly_the_declared_pairs(monkeypatch, image):
+    img = _images()[image]
+    guide = Image(np.random.default_rng(29).random(img.shape))
+    rgf = BUILTIN_PRESETS["rgf8"]()[0]
+    cases = [(img, cfg) for cfg in BUILTIN_PRESETS["bilateral9"]()] + [(guide, rgf)]
+    counting = _CountingNumpy()
+    monkeypatch.setattr(filters, "np", counting)
+    for ref, cfg in cases:
+        counting.exp_calls = 0
+        filters.joint_bilateral(img, ref, cfg.sigma_spatial, cfg.sigma_range, cfg.window)
+        assert counting.exp_calls == len(_declared(cfg)), cfg.canonical()
 
 
 def test_rolling_guidance_prefixes_equal_whole_chains():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fbcompose import Image, add_gaussian_noise, add_impulse_noise
+from fbcompose import DatasetSpec, Image, add_gaussian_noise, add_impulse_noise, noise, write_image
+from fbcompose.cli import run
 
 from synth import synthetic_clean
 
@@ -83,3 +84,41 @@ def test_impulse_replaces_whole_pixels_on_color():
 def test_impulse_same_seed_is_bitwise_identical():
     img = synthetic_clean(23, width=24, height=24)
     assert add_impulse_noise(img, 0.25, seed=42) == add_impulse_noise(img, 0.25, seed=42)
+
+
+def test_degradations_reach_the_noise_module_attribute_per_call(tmp_path, monkeypatch):
+    # A tracer rebinds noise.add_gaussian_noise and noise.add_impulse_noise,
+    # so the manifest loader and the CLI must call through the module name.
+    clean = tmp_path / "clean.pgm"
+    write_image(synthetic_clean(24, width=12, height=10), clean)
+    manifest = tmp_path / "data.txt"
+    manifest.write_text("clean clean.pgm gaussian 25\nclean clean.pgm impulse 0.3\n")
+    flags = {"add_gaussian_noise": ["--gaussian", "25"], "add_impulse_noise": ["--impulse", "0.3"]}
+
+    def degraded():
+        return [sample.degraded.data.tobytes() for sample in DatasetSpec.read(manifest).load(5)]
+
+    def command(name, tag):
+        out = tmp_path / f"{tag}-{name}.pgm"
+        assert run(["noise", *flags[name], "--seed", "3", str(clean), str(out)]) == 0
+        return out.read_bytes()
+
+    want_degraded = degraded()
+    want_written = {name: command(name, "plain") for name in flags}
+
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in flags:
+        monkeypatch.setattr(noise, name, counting(name, getattr(noise, name)))
+    assert degraded() == want_degraded
+    assert calls == ["add_gaussian_noise", "add_impulse_noise"]
+    for name in flags:
+        calls.clear()
+        assert command(name, "traced") == want_written[name]
+        assert calls == [name]
