@@ -8,10 +8,10 @@ the CLI, e.g. ``bilateral:ss=0.5,sr=1.5,k=15`` or ``median:3x5``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
-from dataclasses import dataclass, replace
-from typing import ClassVar, Hashable, Mapping, Sequence
+from typing import Any, Callable, ClassVar, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,22 +35,46 @@ def _check_odd(name: str, value: int) -> None:
         raise ValueError(f"{name} must be an odd integer >= 1, got {value}")
 
 
+def _check_count(name: str, value: int) -> None:
+    if int(value) != value or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value}")
+
+
 class FilterConfig:
     """One filter kind: the base of every tagged parameter set.
 
-    Each subclass declares its kind once: ``KIND`` names it, ``PARAMS`` lists
-    its ``(short name, attribute, is-integer)`` fields in canonical order
-    (which is also constructor order), and ``apply`` calls its kernel.  The
-    canonical form and ``from_params``, the one builder behind ``parse_config``
-    and ``basis.parse_grid``, derive from it.  ``apply`` looks its kernel up
-    as a module global per call, so rebinding ``filters.bilateral`` reaches it.
+    Each subclass is made a frozen dataclass and declares its kind once:
+    ``KIND`` names it, ``PARAMS`` holds one ``(short name, check)`` row per
+    field in field order, which is also canonical order, and ``apply`` calls
+    its kernel.  ``_TABLE``, built once per class, maps each short name to
+    its field's ``(attribute, is-integer, check)``; a field annotated ``int``
+    is an integer.  Construction runs every check, then stores integers as
+    ``int`` so that a config has one canonical form.  That form and
+    ``from_params``, the one builder behind ``parse_config`` and
+    ``basis.parse_grid``, read ``_TABLE``.  ``apply`` looks its kernel up as
+    a module global per call, so rebinding ``filters.bilateral`` reaches it.
 
     Configs whose ``group()`` keys are equal share one kernel run through
     ``apply_group``; by default every config is its own group.
     """
 
     KIND: ClassVar[str]
-    PARAMS: ClassVar[tuple[tuple[str, str, bool], ...]]
+    PARAMS: ClassVar[tuple[tuple[str, Callable[[str, Any], None]], ...]]
+    _TABLE: ClassVar[dict[str, tuple[str, bool, Callable[[str, Any], None]]]]
+
+    def __init_subclass__(cls):
+        dataclasses.dataclass(frozen=True)(cls)
+        cls._TABLE = {
+            short: (field.name, field.type in ("int", int), check)
+            for (short, check), field in zip(cls.PARAMS, dataclasses.fields(cls), strict=True)
+        }
+
+    def __post_init__(self):
+        for name, is_int, check in self._TABLE.values():
+            value = getattr(self, name)
+            check(name, value)
+            if is_int and type(value) is not int:
+                object.__setattr__(self, name, int(value))
 
     def group(self) -> Hashable:
         return self
@@ -62,8 +86,8 @@ class FilterConfig:
 
     def canonical(self) -> str:
         parts = []
-        for short, attr, is_int in self.PARAMS:
-            value = getattr(self, attr)
+        for short, (name, is_int, _) in self._TABLE.items():
+            value = getattr(self, name)
             parts.append(f"{short}={value if is_int else _fmt_num(value)}")
         return f"{self.KIND}:{','.join(parts)}"
 
@@ -78,10 +102,10 @@ class FilterConfig:
         name is an error, and an integer parameter accepts a value that float
         rounding left just off an integer, as grid steps do."""
         for name in params:
-            if name not in {short for short, _, _ in cls.PARAMS}:
+            if name not in cls._TABLE:
                 raise ValueError(f"unknown parameter {name!r} for filter kind {cls.KIND!r}")
         values = []
-        for short, _, is_int in cls.PARAMS:
+        for short, (_, is_int, _) in cls._TABLE.items():
             if short not in params:
                 raise ValueError(f"missing parameter {short!r} for filter kind {cls.KIND!r}")
             try:
@@ -96,27 +120,20 @@ class FilterConfig:
         return cls(*values)
 
 
-@dataclass(frozen=True)
 class Bilateral(FilterConfig):
     """Edge-preserving weighted average with spatial and range Gaussians."""
 
     KIND = "bilateral"
-    PARAMS = (("ss", "sigma_spatial", False), ("sr", "sigma_range", False), ("k", "window", True))
+    PARAMS = (("ss", _check_sigma), ("sr", _check_sigma), ("k", _check_odd))
 
     sigma_spatial: float
     sigma_range: float
     window: int = 15
 
-    def __post_init__(self):
-        _check_sigma("sigma_spatial", self.sigma_spatial)
-        _check_sigma("sigma_range", self.sigma_range)
-        _check_odd("window", self.window)
-
     def apply(self, a: Image) -> Image:
         return bilateral(a, self.sigma_spatial, self.sigma_range, self.window)
 
 
-@dataclass(frozen=True)
 class Median(FilterConfig):
     """Order-statistic filter over a k1 (rows) x k2 (columns) window.
 
@@ -124,14 +141,10 @@ class Median(FilterConfig):
     """
 
     KIND = "median"
-    PARAMS = (("k1", "k1", True), ("k2", "k2", True))
+    PARAMS = (("k1", _check_odd), ("k2", _check_odd))
 
     k1: int
     k2: int
-
-    def __post_init__(self):
-        _check_odd("k1", self.k1)
-        _check_odd("k2", self.k2)
 
     def canonical(self) -> str:
         return f"{self.KIND}:{self.k1}x{self.k2}"
@@ -147,31 +160,22 @@ class Median(FilterConfig):
         return median(a, self.k1, self.k2)
 
 
-@dataclass(frozen=True)
 class RollingGuidance(FilterConfig):
     """Gaussian-initialized guide refined by iterated joint bilateral passes."""
 
     KIND = "rgf"
-    PARAMS = (("sr", "sigma_range", False), ("ss", "sigma_spatial", False),
-              ("k", "window", True), ("t", "iterations", True))
+    PARAMS = (("sr", _check_sigma), ("ss", _check_sigma), ("k", _check_odd), ("t", _check_count))
 
     sigma_range: float
     sigma_spatial: float
     window: int = 9
     iterations: int = 2
 
-    def __post_init__(self):
-        _check_sigma("sigma_range", self.sigma_range)
-        _check_sigma("sigma_spatial", self.sigma_spatial)
-        _check_odd("window", self.window)
-        if int(self.iterations) != self.iterations or self.iterations < 0:
-            raise ValueError(f"iterations must be an integer >= 0, got {self.iterations}")
-
     def apply(self, a: Image) -> Image:
         return rolling_guidance(a, self)
 
     def group(self) -> Hashable:
-        return replace(self, iterations=0)  # one chain per (sr, ss, k)
+        return dataclasses.replace(self, iterations=0)  # one chain per (sr, ss, k)
 
     @classmethod
     def apply_group(cls, a: Image, cfgs: Sequence["RollingGuidance"]) -> list[Image]:
@@ -180,25 +184,19 @@ class RollingGuidance(FilterConfig):
         return rolling_guidance(a, longest, at=[cfg.iterations for cfg in cfgs])
 
 
-@dataclass(frozen=True)
 class Gaussian(FilterConfig):
     """Plain Gaussian blur."""
 
     KIND = "gauss"
-    PARAMS = (("ss", "sigma_spatial", False),)
+    PARAMS = (("ss", _check_sigma),)
 
     sigma_spatial: float
-
-    def __post_init__(self):
-        _check_sigma("sigma_spatial", self.sigma_spatial)
 
     def apply(self, a: Image) -> Image:
         return gaussian_blur(a, self.sigma_spatial)
 
 
-KINDS: dict[str, type[FilterConfig]] = {
-    cls.KIND: cls for cls in (Bilateral, Median, RollingGuidance, Gaussian)
-}
+KINDS: dict[str, type[FilterConfig]] = {cls.KIND: cls for cls in FilterConfig.__subclasses__()}
 
 
 def _split_fields(body: str) -> dict[str, str]:

@@ -1,11 +1,12 @@
 """Independent brute-force references for kernel verification.
 
 Each function re-derives its definition with explicit per-pixel loops and
-separately evaluated spatial/range kernels; ``oracle_joint_bilateral`` runs
-the same per-pixel arithmetic for all pixels at once, pinned to its loop
-form ``oracle_joint_bilateral_literal``.  None of them call the library
-kernels, so agreement is meaningful evidence of correctness.  All operate
-on raw (channels, height, width) float64 arrays with clamp-to-edge borders.
+separately evaluated spatial/range kernels; ``oracle_joint_bilateral``,
+``oracle_gaussian_2d`` and ``oracle_windowed_gaussian`` run the same
+per-pixel arithmetic for all pixels at once, each pinned to its ``_literal``
+loop form.  None of them call the library kernels, so agreement is
+meaningful evidence of correctness.  All operate on raw (channels, height,
+width) float64 arrays with clamp-to-edge borders.
 The bit-identity references near the end are the exception: see there.
 The last section solves the "mse" training objective exactly, from the
 parameter layout alone, as the optimum ``train`` is measured against.
@@ -23,12 +24,32 @@ def _clamp(v: int, hi: int) -> int:
     return min(max(v, 0), hi)
 
 
-def oracle_gaussian_2d(data: np.ndarray, sigma: float) -> np.ndarray:
-    """Direct 2-D convolution with the normalized radius-ceil(3*sigma) kernel."""
+def _normalized_gaussian_2d(sigma: float) -> np.ndarray:
+    """The normalized radius-ceil(3*sigma) 2-D Gaussian kernel."""
     radius = math.ceil(3.0 * sigma)
     axis = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(axis[:, None] ** 2 + axis[None, :] ** 2) / (2.0 * sigma * sigma))
-    kernel /= kernel.sum()
+    return kernel / kernel.sum()
+
+
+def oracle_gaussian_2d(data: np.ndarray, sigma: float) -> np.ndarray:
+    """The direct 2-D convolution of ``oracle_gaussian_2d_literal`` with every
+    pixel at once: the same taps added in the same raster order."""
+    kernel = _normalized_gaussian_2d(sigma)
+    radius = kernel.shape[0] // 2
+    _, height, width = data.shape
+    padded = np.pad(data, ((0, 0), (radius, radius), (radius, radius)), mode="edge")
+    out = np.zeros_like(data)
+    for dy in range(2 * radius + 1):
+        for dx in range(2 * radius + 1):
+            out += kernel[dy, dx] * padded[:, dy:dy + height, dx:dx + width]
+    return out
+
+
+def oracle_gaussian_2d_literal(data: np.ndarray, sigma: float) -> np.ndarray:
+    """Direct 2-D convolution with the normalized radius-ceil(3*sigma) kernel."""
+    kernel = _normalized_gaussian_2d(sigma)
+    radius = kernel.shape[0] // 2
     channels, height, width = data.shape
     out = np.zeros_like(data)
     for ch in range(channels):
@@ -108,6 +129,24 @@ def oracle_bilateral(
 
 
 def oracle_windowed_gaussian(src: np.ndarray, sigma_spatial: float, window: int) -> np.ndarray:
+    """``oracle_windowed_gaussian_literal`` with every pixel at once: the same
+    weights added to ``num`` and ``den`` in the same raster order."""
+    radius = window // 2
+    _, height, width = src.shape
+    padded = np.pad(src, ((0, 0), (radius, radius), (radius, radius)), mode="edge")
+    num = np.zeros_like(src)
+    den = 0.0
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            f = math.exp(-(dy * dy + dx * dx) / (2.0 * sigma_spatial**2))
+            num += f * padded[:, radius + dy:radius + dy + height, radius + dx:radius + dx + width]
+            den += f
+    return num / den
+
+
+def oracle_windowed_gaussian_literal(
+    src: np.ndarray, sigma_spatial: float, window: int
+) -> np.ndarray:
     """Spatial-only normalized window average (range weights all one)."""
     radius = window // 2
     channels, height, width = src.shape

@@ -129,9 +129,9 @@ def test_dis_grid_config_errors():
     with pytest.raises(ValueError):
         _one_config("median", {"k1": 3.5, "k2": 3})  # non-integer window
     for kind, cls in KINDS.items():
-        params = {short: 3.0 if is_int else 0.75 for short, _, is_int in cls.PARAMS}
+        params = {short: 3.0 if is_int else 0.75 for short, (_, is_int, _) in cls._TABLE.items()}
         assert _one_config(kind.upper(), params) == cls(*params.values())
-        for short, _, is_int in cls.PARAMS:
+        for short, (_, is_int, _) in cls._TABLE.items():
             missing = {k: v for k, v in params.items() if k != short}
             with pytest.raises(ValueError, match=repr(short)):
                 _one_config(kind, missing)

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from fbcompose import (
     Bilateral,
+    FBCache,
+    FilterConfig,
     Gaussian,
     Image,
     Median,
@@ -14,11 +16,16 @@ from fbcompose import (
     bilateral,
     filters,
     gaussian_blur,
+    init_model,
     joint_bilateral,
+    load_model,
     median,
     parse_config,
     parse_grid,
+    read_preset,
     rolling_guidance,
+    save_model,
+    write_preset,
 )
 from fbcompose.basis import BUILTIN_PRESETS
 from fbcompose.filters import KINDS, gaussian_kernel1d
@@ -27,10 +34,12 @@ from fbcompose.image import GRID_BITS
 from oracles import (
     oracle_bilateral,
     oracle_gaussian_2d,
+    oracle_gaussian_2d_literal,
     oracle_joint_bilateral,
     oracle_joint_bilateral_literal,
     oracle_median,
     oracle_windowed_gaussian,
+    oracle_windowed_gaussian_literal,
     reference_joint_bilateral,
     reference_median,
 )
@@ -49,10 +58,10 @@ def _random_image(rng, channels=1, lo=5, hi=9):
 
 
 def _declared_examples():
-    """One config of every declared kind, built from its PARAMS alone."""
+    """One config of every declared kind, built from its field table alone."""
     examples = []
     for cls in KINDS.values():
-        cfg = cls(*[3 if is_int else 0.75 for _, _, is_int in cls.PARAMS])
+        cfg = cls(*[3 if is_int else 0.75 for _, is_int, _ in cls._TABLE.values()])
         examples.append((cfg.canonical(), cfg))
     return examples
 
@@ -88,7 +97,7 @@ def _any_config(draw):
         draw(st.integers(0, 10**6).map(lambda k: 2 * k + 1))
         if is_int
         else draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
-        for _, _, is_int in cls.PARAMS
+        for _, is_int, _ in cls._TABLE.values()
     ]
     return cls(*values)
 
@@ -154,20 +163,84 @@ def test_parse_rejects_non_finite_sigma_naming_the_field(text, field):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        Bilateral(0.0, 1.0, 15)
-    with pytest.raises(ValueError):
-        Bilateral(1.0, -1.0, 15)
-    with pytest.raises(ValueError):
-        Bilateral(1.0, 1.0, 14)  # even window
-    with pytest.raises(ValueError):
-        Median(2, 3)
-    with pytest.raises(ValueError):
-        Median(3, 0)
-    with pytest.raises(ValueError):
-        RollingGuidance(0.2, 3.0, 9, -1)
-    with pytest.raises(ValueError):
-        Gaussian(0.0)
+    cases = [
+        (lambda: Bilateral(0.0, 1.0, 15), "sigma_spatial must be finite and > 0, got 0.0"),
+        (lambda: Bilateral(1.0, -1.0, 15), "sigma_range must be finite and > 0, got -1.0"),
+        (lambda: Bilateral(1.0, 1.0, 14), "window must be an odd integer >= 1, got 14"),
+        (lambda: Median(2, 3), "k1 must be an odd integer >= 1, got 2"),
+        (lambda: Median(3, 0), "k2 must be an odd integer >= 1, got 0"),
+        (lambda: RollingGuidance(0.2, 3.0, 9, -1), "iterations must be an integer >= 0, got -1"),
+        (lambda: RollingGuidance(0.2, 3.0, 9, 1.5), "iterations must be an integer >= 0, got 1.5"),
+        (lambda: Gaussian(0.0), "sigma_spatial must be finite and > 0, got 0.0"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_equal_configs_have_one_canonical_string(kind, tmp_path):
+    # Integer fields are stored as int, so a config built from 3.0 is the
+    # config built from 3 in every form it is written or keyed in.
+    cls = KINDS[kind]
+    as_float = cls(*[3.0 if is_int else 0.75 for _, is_int, _ in cls._TABLE.values()])
+    as_int = cls(*[3 if is_int else 0.75 for _, is_int, _ in cls._TABLE.values()])
+    assert as_float == as_int and as_float.canonical() == as_int.canonical()
+    for name, is_int, _ in cls._TABLE.values():
+        assert not is_int or type(getattr(as_float, name)) is int
+    img = Image.constant(4, 5, 0.5)
+    cache = FBCache(tmp_path / "cache")
+    assert cache.path_for(img, as_float) == cache.path_for(img, as_int)
+    write_preset([as_float], tmp_path / "preset.txt")
+    assert read_preset(tmp_path / "preset.txt") == [as_int]
+    save_model(init_model([as_float]), tmp_path / "model.json")
+    assert load_model(tmp_path / "model.json").basis_configs == (as_int,)
+
+
+def test_bool_integer_field_is_written_as_int():
+    cfg = Bilateral(0.5, 1.0, True)
+    assert type(cfg.window) is int and cfg.canonical() == "bilateral:ss=0.5,sr=1,k=1"
+
+
+class _Toy(FilterConfig):
+    """A kind declared only here, by its fields, KIND, PARAMS and apply."""
+
+    KIND = "toy"
+    PARAMS = (("s", filters._check_sigma), ("n", filters._check_count))
+
+    scale: float
+    count: int
+
+    def apply(self, a: Image) -> Image:
+        return a
+
+
+def test_kinds_are_the_declared_subclasses():
+    assert list(KINDS) == ["bilateral", "median", "rgf", "gauss"]
+    assert "toy" not in KINDS and _Toy not in KINDS.values()
+    with pytest.raises(ValueError, match="unknown filter kind 'toy'"):
+        parse_config("toy:s=0.5,n=3")
+
+
+def test_declaration_is_the_whole_kind():
+    cfg = _Toy(0.5, 3.0)
+    assert cfg == _Toy(0.5, 3) and type(cfg.count) is int
+    assert cfg.canonical() == "toy:s=0.5,n=3"
+    assert _Toy.parse("s=0.5,n=3") == cfg
+    assert _Toy.from_params({"s": "0.5", "n": "3.0000000001"}) == cfg
+    assert _Toy.from_params({"s": 0.5, "n": 3 - 1e-10}) == cfg
+    checks = [
+        (lambda: _Toy(0.0, 3), "scale must be finite and > 0, got 0.0"),
+        (lambda: _Toy(0.5, -1), "count must be an integer >= 0, got -1"),
+        (lambda: _Toy.parse("s=0.5,n=3.5"), "parameter 'n' must be an integer, got 3.5"),
+        (lambda: _Toy.parse("s=0.5"), "missing parameter 'n' for filter kind 'toy'"),
+        (lambda: _Toy.parse("s=0.5,n=3,k=1"), "unknown parameter 'k' for filter kind 'toy'"),
+    ]
+    for build, message in checks:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +430,16 @@ def test_vectorised_oracle_matches_literal_loop(channels):
     assert np.max(np.abs(fast - literal)) <= 0.25 * 2.0**-GRID_BITS
 
 
+@pytest.mark.parametrize("channels", [1, 3])
+def test_vectorised_gaussian_oracles_match_literal_loops(channels):
+    # Same taps, same products, added in the same raster order: bit for bit.
+    src = Image(np.random.default_rng(67 + channels).random((channels, 9, 11))).data
+    assert np.array_equal(oracle_gaussian_2d(src, 1.6), oracle_gaussian_2d_literal(src, 1.6))
+    assert np.array_equal(
+        oracle_windowed_gaussian(src, 1.2, 7), oracle_windowed_gaussian_literal(src, 1.2, 7)
+    )
+
+
 def test_bilateral_window_1_returns_source():
     rng = np.random.default_rng(63)
     for channels in (1, 3):
@@ -484,6 +567,22 @@ def test_rgf_single_iteration_matches_oracle_composition():
     guide = oracle_gaussian_2d(img.data, 1.0)
     expected = oracle_joint_bilateral(img.data, guide, 1.0, 0.25, 5)
     assert np.max(np.abs(out.data - expected)) < 1e-6
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_rgf8_chains_match_chained_oracle_passes(channels):
+    # Every (sr, ss) chain of rgf8 at t = 2 and 4, each oracle guide snapped
+    # as Image snaps the library's, within criterion 1's bound.
+    img = Image(np.random.default_rng(68 + channels).random((channels, 10, 12)))
+    configs = BUILTIN_PRESETS["rgf8"]()
+    assert sorted({cfg.iterations for cfg in configs}) == [2, 4]
+    for cfg in configs:
+        guide = Image(oracle_gaussian_2d(img.data, cfg.sigma_spatial))
+        for _ in range(cfg.iterations):
+            guide = Image(oracle_joint_bilateral(
+                img.data, guide.data, cfg.sigma_spatial, cfg.sigma_range, cfg.window
+            ))
+        assert np.max(np.abs(cfg.apply(img).data - guide.data)) < 1e-6, cfg.canonical()
 
 
 def test_rgf_library_composition_is_bitwise():
