@@ -8,6 +8,7 @@ the CLI, e.g. ``bilateral:ss=0.5,sr=1.5,k=15`` or ``median:3x5``.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import re
@@ -31,12 +32,12 @@ def _check_sigma(name: str, value: float) -> None:
 
 
 def _check_odd(name: str, value: int) -> None:
-    if int(value) != value or value < 1 or value % 2 == 0:
+    if not 1 <= value < math.inf or int(value) != value or value % 2 == 0:
         raise ValueError(f"{name} must be an odd integer >= 1, got {value}")
 
 
 def _check_count(name: str, value: int) -> None:
-    if int(value) != value or value < 0:
+    if not 0 <= value < math.inf or int(value) != value:
         raise ValueError(f"{name} must be an integer >= 0, got {value}")
 
 
@@ -242,13 +243,15 @@ def parse_config(text: str) -> FilterConfig:
 # being served (``basis.FBCache`` salts its keys with it).  2: the bilateral
 # loop adds the centre first and then each pair of opposite offsets, which
 # moves some planes by one grid step from version 1's offset order.  3: it
-# skips offset pairs whose spatial weight is below ``_SKIP_EXPONENT``; only
-# values whose own input is exactly 0 can move, by at most one grid step.
-KERNEL_VERSION = 3
+# skipped offset pairs whose spatial weight was below 2**-(GRID_BITS + 54).
+# 4: it leaves out every pair at or beyond a squared distance cut, chosen so
+# that the pairs left out weigh ``_CUT_WEIGHT`` at most; a plane moves by at
+# most one grid step from version 3's.
+KERNEL_VERSION = 4
 
-# exp of this is 2**-(GRID_BITS + 54), half an ulp of the smallest nonzero
-# grid value with one bit to spare for exp's rounding.
-_SKIP_EXPONENT = -(GRID_BITS + 54) * math.log(2.0)
+# The most that the offset pairs a bilateral sum leaves out may weigh in
+# all, both offsets of each pair counted: a quarter of a grid step.
+_CUT_WEIGHT = 2.0 ** -(GRID_BITS + 2)
 # Bytes of window copies the median partitions at once: one core's L2.
 _MEDIAN_BAND_BYTES = 2 << 20
 
@@ -289,17 +292,29 @@ def gaussian_blur(a: Image, sigma_spatial: float) -> Image:
 def _offset_pairs(sigma_spatial: float, window: int) -> list[tuple[int, int, float]]:
     """The ``(dy, dx, spatial exponent)`` of each pair of opposite offsets a
     bilateral sum takes in, in the half window's raster order (dy > 0, or
-    dy == 0 and dx > 0), leaving out those lighter than exp(_SKIP_EXPONENT):
-    under half an ulp of every sum that starts nonzero, at 1 or at a value
-    of 2**-GRID_BITS or more, so only a value whose input is 0 can move."""
+    dy == 0 and dx > 0): those nearer than the cut D, the least squared
+    distance such that the pairs at D or beyond weigh ``_CUT_WEIGHT`` at most.
+
+    That bounds what leaving them out can do.  The denominator starts at the
+    centre's weight 1, every range weight is at most 1 and every value lies
+    in [0, 1], so adding back left-out weight w moves the quotient by at
+    most w: a quarter grid step, one grid step at most once snapped.
+    """
     radius = window // 2
     inv_ss = 1.0 / (2.0 * sigma_spatial * sigma_spatial)
-    return [
-        (dy, dx, spatial)
+    half = [
+        (dy, dx, dy * dy + dx * dx)
         for dy in range(radius + 1)
         for dx in range(-radius if dy else 1, radius + 1)
-        if (spatial := -(dy * dy + dx * dx) * inv_ss) >= _SKIP_EXPONENT
     ]
+    rings = collections.Counter(d2 for _, _, d2 in half)
+    cut, left_out = math.inf, 0.0
+    for d2 in sorted(rings, reverse=True):
+        left_out += 2 * rings[d2] * math.exp(-d2 * inv_ss)
+        if left_out > _CUT_WEIGHT:
+            break
+        cut = d2
+    return [(dy, dx, -d2 * inv_ss) for dy, dx, d2 in half if d2 < cut]
 
 
 def joint_bilateral(
@@ -346,14 +361,17 @@ def joint_bilateral(
     sums[0, :span] = 1.0  # the centre's weight is exactly 1
     sums[1:, :span] = flat_src[:, first:first + span]
     step = np.empty((channels + 1, span + first))
-    delta = np.empty((channels, span + first))
+    delta = np.empty((channels, span + first)) if channels > 1 else None
     for dy, dx, spatial in _offset_pairs(sigma_spatial, window):
         o = dy * row + dx
-        weight, diff = step[0, :span + o], delta[:, :span + o]
-        np.subtract(flat_ref[:, first:first + span + o], flat_ref[:, first - o:first + span], out=diff)
-        if channels == 1:
-            np.multiply(diff[0], diff[0], out=weight)
+        weight = step[0, :span + o]
+        ahead, behind = flat_ref[:, first:first + span + o], flat_ref[:, first - o:first + span]
+        if delta is None:  # gray: the difference is squared where it lies
+            np.subtract(ahead[0], behind[0], out=weight)
+            np.multiply(weight, weight, out=weight)
         else:
+            diff = delta[:, :span + o]
+            np.subtract(ahead, behind, out=diff)
             np.einsum("cn,cn->n", diff, diff, out=weight)
         np.multiply(weight, inv_sr, out=weight)
         np.subtract(spatial, weight, out=weight)

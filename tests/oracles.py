@@ -217,17 +217,43 @@ def oracle_ssim(x: np.ndarray, y: np.ndarray, window: int = 11, sigma: float = 1
 # Bit-identity references: the vectorised kernels as they stood before the
 # joint bilateral loop reused its buffers and shared each weight between
 # opposite offsets (but adding the offsets in that loop's order and
-# skipping the pairs it skips, KERNEL_VERSION 3), before the median took
-# one partition, and before rolling-guidance configs shared one chain.
+# leaving out the pairs it leaves out, KERNEL_VERSION 4), before the median
+# took one partition, and before rolling-guidance configs shared one chain.
 # Unlike the oracles above they take and return Images (so outputs are
 # grid-snapped like the library's), and the library must match them bit
 # for bit, not within a tolerance.
 # ---------------------------------------------------------------------------
 
-# The bilateral skip threshold, 2**-(GRID_BITS + 54) as an exponent, written
-# from the grid here rather than imported, so that moving the kernel's
-# constant fails the identity tests.
-REFERENCE_SKIP_EXPONENT = -(GRID_BITS + 54) * math.log(2.0)
+
+def _half_window(window: int) -> list:
+    """The offsets ``(dy, dx)`` with ``dy > 0``, or ``dy == 0`` and ``dx > 0``,
+    in raster order: one of each pair of opposite offsets."""
+    radius = window // 2
+    return [
+        (dy, dx) for dy in range(radius + 1) for dx in range(-radius if dy else 1, radius + 1)
+    ]
+
+
+def reference_left_out_weight(sigma_spatial: float, window: int, cut: float) -> float:
+    """The spatial weight of every window offset at squared distance ``cut``
+    or beyond, each pair's two opposite offsets summed one by one."""
+    weights = []
+    for dy, dx in _half_window(window):
+        if dy * dy + dx * dx >= cut:
+            weight = math.exp(-(dy * dy + dx * dx) / (2.0 * sigma_spatial**2))
+            weights += [weight, weight]
+    return math.fsum(weights)
+
+
+def reference_cut(sigma_spatial: float, window: int) -> float:
+    """The least squared distance whose pairs, with all farther ones, weigh
+    at most a quarter grid step, 2**-(GRID_BITS + 2), or ``inf`` if none
+    does.  The bound is written from the grid here rather than imported, so
+    that moving the kernel's constant fails the identity tests."""
+    for cut in sorted({dy * dy + dx * dx for dy, dx in _half_window(window)}):
+        if reference_left_out_weight(sigma_spatial, window, cut) <= 2.0 ** -(GRID_BITS + 2):
+            return cut
+    return math.inf
 
 
 def _reference_correlate_edge(arr: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
@@ -248,18 +274,11 @@ def reference_gaussian_blur(a: Image, sigma_spatial: float) -> Image:
 
 
 def reference_offset_pairs(sigma_spatial: float, window: int, skip: bool = True) -> list:
-    """The half-window offsets ``(dy, dx)`` in raster order (``dy > 0``, or
-    ``dy == 0`` and ``dx > 0``) whose pair of opposite offsets the bilateral
-    sums take in; with ``skip``, those with a spatial exponent below
-    ``REFERENCE_SKIP_EXPONENT`` are left out."""
-    radius = window // 2
-    inv_ss = 1.0 / (2.0 * sigma_spatial * sigma_spatial)
-    return [
-        (dy, dx)
-        for dy in range(radius + 1)
-        for dx in range(-radius if dy else 1, radius + 1)
-        if not (skip and -(dy * dy + dx * dx) * inv_ss < REFERENCE_SKIP_EXPONENT)
-    ]
+    """The half-window offsets ``(dy, dx)`` whose pair of opposite offsets the
+    bilateral sums take in; with ``skip``, those at ``reference_cut`` or
+    beyond are left out."""
+    cut = reference_cut(sigma_spatial, window) if skip else math.inf
+    return [(dy, dx) for dy, dx in _half_window(window) if dy * dy + dx * dx < cut]
 
 
 def reference_joint_bilateral(

@@ -349,7 +349,7 @@ def test_criterion_8_cost_model_linearity():
     forward_seconds = _median_seconds(lambda: forward(model, basis), time.perf_counter)
 
     # A bilateral plane costs in proportion to the offset pairs its kernel
-    # computes (2 to 112 across bilateral9), so the line is fitted to the
+    # computes (0 to 110 across bilateral9), so the line is fitted to the
     # declared pairs of each prefix, not to its plane count.
     pairs = np.array(
         [sum(len(_offset_pairs(c.sigma_spatial, c.window)) for c in configs[:k]) for k in magnitudes],

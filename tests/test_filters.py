@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -172,6 +173,16 @@ def test_config_validation():
         (lambda: RollingGuidance(0.2, 3.0, 9, -1), "iterations must be an integer >= 0, got -1"),
         (lambda: RollingGuidance(0.2, 3.0, 9, 1.5), "iterations must be an integer >= 0, got 1.5"),
         (lambda: Gaussian(0.0), "sigma_spatial must be finite and > 0, got 0.0"),
+        # Non-finite integer fields are rejected before any int() conversion.
+        (lambda: Bilateral(1.0, 1.0, math.inf), "window must be an odd integer >= 1, got inf"),
+        (lambda: Bilateral(1.0, 1.0, -math.inf), "window must be an odd integer >= 1, got -inf"),
+        (lambda: Bilateral(1.0, 1.0, math.nan), "window must be an odd integer >= 1, got nan"),
+        (lambda: Median(math.inf, 3), "k1 must be an odd integer >= 1, got inf"),
+        (lambda: Median(3, math.nan), "k2 must be an odd integer >= 1, got nan"),
+        (lambda: RollingGuidance(0.2, 3.0, 9, math.nan),
+         "iterations must be an integer >= 0, got nan"),
+        (lambda: RollingGuidance(0.2, 3.0, 9, math.inf),
+         "iterations must be an integer >= 0, got inf"),
     ]
     for build, message in cases:
         with pytest.raises(ValueError) as err:
@@ -389,11 +400,12 @@ def test_joint_bilateral_edge_shapes_equal_previous_kernel(height, width, window
     assert np.array_equal(guide.data, guide_before)
 
 
-# The bilateral loop adds opposite offsets in pairs and skips the pairs too
-# light to change a sum (KERNEL_VERSION 3), so beyond matching the reference
-# of that order bit for bit, its planes are pinned to the exact maths at the
-# shipped presets' windows and sigmas, on gray and colour, self-guided and
-# not.  ss 0.4-0.8 at k=15 are where the skip leaves out the most pairs.
+# The bilateral loop adds opposite offsets in pairs and leaves out the pairs
+# beyond its squared distance cut (KERNEL_VERSION 4), so beyond matching the
+# reference of that order bit for bit, its planes are pinned to the exact
+# maths at the shipped presets' windows and sigmas, on gray and colour,
+# self-guided and not.  ss 0.1-0.8 at k=15 are where the cut leaves out the
+# most pairs.
 def _oracle_cases():
     sigmas = [
         (0.1, 0.5, 15), (0.4, 3.5, 15), (0.5, 0.5, 15), (0.6, 0.5, 15), (0.7, 0.5, 15),

@@ -4,12 +4,12 @@ pattern that per-kernel tracing relies on.
 
 Every plane of the three shipped presets must equal the reference kernels of
 ``oracles`` exactly (``np.array_equal``), alone and through ``build_basis``
-with any thread count and a partly filled plane cache.  On inputs with no
-zero value, the bilateral kernel must also equal the sums that skip no
-offset pair (version 2).
+with any thread count and a partly filled plane cache.  The bilateral
+kernel computes only the offset pairs nearer than its squared distance cut
+(version 4), and every plane stays within one grid step of the sums that
+leave out no pair (version 2).
 """
 
-import math
 import threading
 
 import numpy as np
@@ -21,8 +21,9 @@ from fbcompose.filters import Bilateral, Median, RollingGuidance
 from fbcompose.image import GRID_BITS
 
 from oracles import (
-    REFERENCE_SKIP_EXPONENT,
+    reference_cut,
     reference_joint_bilateral,
+    reference_left_out_weight,
     reference_offset_pairs,
     reference_median,
     reference_rolling_guidance,
@@ -66,42 +67,44 @@ def test_joint_bilateral_with_separate_guide_equals_previous_kernel(channels):
     rng = np.random.default_rng(22 + channels)
     img = Image(rng.random((channels, 16, 21)))
     guide = Image(rng.random((channels, 16, 21)))
-    # ss=0.1 skips most offsets of the 15x15 window; ss=3 skips none.
+    # ss=0.1 computes no pair of the 15x15 window; ss=3 leaves out none of 9x9.
     for ss, sr, window in ((0.1, 0.5, 15), (3.0, 0.2, 9), (0.7, 3.5, 5)):
         got = filters.joint_bilateral(img, guide, ss, sr, window)
         want = reference_joint_bilateral(img, guide, ss, sr, window)
         assert np.array_equal(got.data, want.data), (ss, sr, window)
 
 
-def _zero_free_images(channels):
-    """Noise, a smooth image and the extremes {2**-GRID_BITS, 1}: no value is 0."""
+def _bound_images(channels):
+    """Noise, a smooth image, the extremes {2**-GRID_BITS, 1} and noise half
+    of whose values are 0."""
     rng = np.random.default_rng(26 + channels)
     tiny = 2.0**-GRID_BITS
     shape = (channels, 13, 16)
-    images = [
+    return [
         Image(np.clip(rng.random(shape), tiny, 1.0)),
         Image(np.clip(synthetic_clean(27, width=16, height=13, channels=channels).data, tiny, 1.0)),
         Image(rng.choice([tiny, 1.0], size=shape)),
+        Image(np.where(rng.random(shape) < 0.5, 0.0, rng.random(shape))),
     ]
-    assert all(np.all(img.data > 0) for img in images)
-    return images
 
 
 @pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("self_guided", [True, False], ids=["self-guide", "separate-guide"])
-def test_skipped_pairs_change_no_value_of_a_zero_free_input(channels, self_guided):
-    # A skipped weight is below half an ulp of the denominator (it starts at
-    # 1) and of every numerator that starts at a nonzero grid value, so on
-    # these inputs skipping changes no bit of version 2's sums.
+def test_cut_moves_no_value_by_more_than_a_grid_step(channels, self_guided):
+    # The denominator starts at the centre's weight 1, range weights are at
+    # most 1 and values lie in [0, 1], so adding back the left-out weight w
+    # moves each quotient by at most w, a quarter grid step: once snapped,
+    # no value is more than one grid step from version 2's.
     configs = BUILTIN_PRESETS["bilateral9"]() + parse_grid(BILATERAL_CANDIDATE_GRID)
     sigmas = sorted({(cfg.sigma_spatial, cfg.sigma_range, cfg.window) for cfg in configs})
-    images = _zero_free_images(channels)
+    images = _bound_images(channels)
+    step = 2.0**-GRID_BITS
     for img, other in zip(images, images[1:] + images[:1]):
         guide = img if self_guided else other
         for ss, sr, window in sigmas:
             got = filters.joint_bilateral(img, guide, ss, sr, window)
             want = reference_joint_bilateral(img, guide, ss, sr, window, skip=False)
-            assert np.array_equal(got.data, want.data), (ss, sr, window)
+            assert np.max(np.abs(got.data - want.data)) <= step, (ss, sr, window)
 
 
 class _CountingNumpy:
@@ -120,11 +123,19 @@ class _CountingNumpy:
 
 
 def test_skip_threshold_keeps_and_skips_the_pair_at_its_edge(monkeypatch):
-    # The offsets (7, 0) and (0, 7) of a 15x15 window, d2 = 49, reach the
-    # threshold at ss_edge.  A weight that light cannot show in a snapped
-    # output, so the kernel's exp calls, one per pair computed, count it.
-    # The image is half zeros, the only values a skip may move.
-    ss_edge = math.sqrt(49 / (2 * -REFERENCE_SKIP_EXPONENT))
+    # At ss_edge the offsets (7, 0) and (0, 7) of a 15x15 window, d2 = 49,
+    # and every farther pair weigh exactly the quarter grid step the cut
+    # allows: just above it they are computed, just below it the cut falls
+    # to 49 and leaves them out.  The kernel's exp calls, one per pair
+    # computed, count them; the image is half zeros.
+    lo, hi = 0.5, 2.0  # the weight at d2 >= 49 rises with ss
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        if reference_left_out_weight(mid, 15, 49) > 2.0 ** -(GRID_BITS + 2):
+            hi = mid
+        else:
+            lo = mid
+    ss_edge = (lo + hi) / 2
     rng = np.random.default_rng(28)
     img = Image(np.where(rng.random((1, 17, 19)) < 0.5, 0.0, rng.random((1, 17, 19))))
     counted = []
@@ -138,8 +149,23 @@ def test_skip_threshold_keeps_and_skips_the_pair_at_its_edge(monkeypatch):
         assert np.array_equal(got.data, reference_joint_bilateral(img, img, ss, 0.5, 15).data), ss
         counted.append(set(pairs))
     kept, skipped = counted
+    assert reference_cut(ss_edge * (1 - 1e-9), 15) == 49 < reference_cut(ss_edge * (1 + 1e-9), 15)
     assert kept - skipped == {(0, 7), (7, 0)}
     assert skipped < kept
+
+
+def test_bilateral9_narrowest_plane_is_its_source(monkeypatch):
+    # At ss=0.1 every pair of the 15x15 window weighs under the cut's bound,
+    # so the sums keep only the centre and the plane is its input.
+    cfg = BUILTIN_PRESETS["bilateral9"]()[0]
+    assert cfg == Bilateral(0.1, 0.5, 15)
+    rng = np.random.default_rng(30)
+    half_zero = np.where(rng.random((1, 14, 17)) < 0.5, 0.0, rng.random((1, 14, 17)))
+    counting = _CountingNumpy()
+    monkeypatch.setattr(filters, "np", counting)
+    for img in (*_images().values(), Image(half_zero)):
+        assert np.array_equal(cfg.apply(img).data, img.data)
+    assert counting.exp_calls == 0
 
 
 def _declared(cfg) -> list:
@@ -150,9 +176,10 @@ def test_declared_offset_pairs_are_the_reference_pairs():
     bilateral9 = BUILTIN_PRESETS["bilateral9"]()
     grid = parse_grid(BILATERAL_CANDIDATE_GRID)
     rgf8 = BUILTIN_PRESETS["rgf8"]()
-    assert [len(_declared(cfg)) for cfg in bilateral9] == [2, 34, 34, 54, 54, 80, 100, 110, 112]
-    assert sum(len(_declared(cfg)) for cfg in grid) == 5208
-    assert [len(_declared(cfg)) for cfg in rgf8] == [40] * len(rgf8)  # window 9 skips none
+    assert [len(_declared(cfg)) for cfg in bilateral9] == [0, 18, 18, 30, 30, 44, 54, 72, 110]
+    assert sum(len(_declared(cfg)) for cfg in bilateral9) == 376  # of 9 * 112
+    assert sum(len(_declared(cfg)) for cfg in grid) == 3752  # of 77 * 112
+    assert [len(_declared(cfg)) for cfg in rgf8] == [40] * len(rgf8)  # window 9 leaves out none
     for cfg in bilateral9 + grid + rgf8:
         declared = [(dy, dx) for dy, dx, _ in _declared(cfg)]
         assert declared == reference_offset_pairs(cfg.sigma_spatial, cfg.window), cfg.canonical()
