@@ -421,8 +421,8 @@ class FBCache:
         """The stored plane, or None unless the file is ``_npy_header(img.shape)``
         followed by exactly one plane of bytes.  A hit is read straight into
         ``out`` (a writeable C-contiguous float64 array of ``img.shape``, else a
-        ValueError) or a new array, then checked finite and snapped as Image
-        snaps, in place.  On a miss ``out`` holds no defined values."""
+        ValueError) or a new array, then snapped in place as Image snaps, which
+        raises on non-finite data.  On a miss ``out`` holds no defined values."""
         if out is not None and not (
             out.dtype == np.float64 and out.shape == img.shape
             and out.flags.c_contiguous and out.flags.writeable
@@ -439,9 +439,10 @@ class FBCache:
                     return None
         except OSError:  # missing or unreadable
             return None
-        if not np.all(np.isfinite(plane)):
-            raise ValueError(f"cache file {path}: image data must be finite")
-        snap_unit(plane, out=plane)
+        try:
+            snap_unit(plane, out=plane)
+        except ValueError as err:  # non-finite data
+            raise ValueError(f"cache file {path}: {err}") from None
         plane.setflags(write=False)
         return Image._wrap(plane)
 

@@ -15,15 +15,24 @@ import numpy as np
 # bit-for-bit.  The grid step (~3.6e-15) sits far below every tolerance used
 # anywhere else in the package.
 GRID_BITS = 48
-_GRID_SCALE = float(1 << GRID_BITS)
+# Doubles in [16, 17] are exactly 2**-GRID_BITS apart, so x + 16 - 16 for x in [0, 1]
+# is rint(x * 2**48) / 2**48 (ties to even) bit for bit, except that -0.0 gives +0.0.
+_ROUNDER = float(1 << (52 - GRID_BITS))
 
 
 def snap_unit(values, out: np.ndarray | None = None) -> np.ndarray:
-    """Clamp to [0, 1] and round to the nearest intensity grid point, into one
-    new array or into ``out`` (float64, same shape); ``values`` is not written."""
-    arr = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0, out=out)
-    np.rint(np.multiply(arr, _GRID_SCALE, out=arr), out=arr)
-    return np.divide(arr, _GRID_SCALE, out=arr)
+    """Clamp to [0, 1] and round to the nearest intensity grid point, into one new
+    C-contiguous array or into ``out`` (float64, same shape, may be ``values``); raises
+    ValueError on non-finite data.  ``values`` is not otherwise written."""
+    arr = np.asarray(values, dtype=np.float64)
+    lo, hi = (arr.min(), arr.max()) if arr.size else (0.0, 0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):  # a NaN makes min() and max() NaN
+        raise ValueError("image data must be finite")
+    if lo < 0.0 or hi > 1.0:
+        arr = out = np.clip(arr, 0.0, 1.0, out=out, order="C")
+    arr = np.add(arr, _ROUNDER, out=out, order="C")
+    arr -= _ROUNDER
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +59,6 @@ class Image:
             raise ValueError(f"channel count must be 1 or 3, got {channels}")
         if height < 1 or width < 1:
             raise ValueError(f"empty image: {height}x{width}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("image data must be finite")
         arr = snap_unit(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
@@ -68,8 +75,10 @@ class Image:
 
     @functools.cached_property
     def _digest(self) -> str:
-        """sha256 hex digest of the shape and raw bytes, taken once: the data is frozen."""
-        return hashlib.sha256(repr(self.shape).encode() + self.data.tobytes()).hexdigest()
+        """sha256 of the shape and C-order bytes (fed as a view), taken once: the data is frozen."""
+        digest = hashlib.sha256(repr(self.shape).encode())
+        digest.update(memoryview(np.ascontiguousarray(self.data)).cast("B"))
+        return digest.hexdigest()
 
     @property
     def channels(self) -> int:

@@ -712,15 +712,33 @@ def test_fb_cache_non_finite_file_is_an_error_naming_it(tmp_path):
     img = synthetic_clean(85, width=8, height=6)
     cfg = Median(3, 3)
     cache = FBCache(tmp_path / "cache")
-    bad = np.full(img.shape, 0.5)
-    bad[0, 2, 3] = np.nan
     path = cache.path_for(img, cfg)
     path.parent.mkdir(parents=True)
-    np.save(path, bad)
-    for read in (lambda: cache.get(img, cfg), lambda: build_basis(img, [cfg], cache=cache)):
-        with pytest.raises(ValueError) as info:
-            read()
-        assert str(path) in str(info.value) and "finite" in str(info.value)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.full(img.shape, 0.5)
+        bad[0, 2, 3] = value
+        np.save(path, bad)
+        for read in (lambda: cache.get(img, cfg), lambda: build_basis(img, [cfg], cache=cache)):
+            with pytest.raises(ValueError) as info:
+                read()
+            assert str(info.value) == f"cache file {path}: image data must be finite"
+
+
+def test_fb_cache_serves_a_negative_zero_as_positive_zero(tmp_path):
+    img = synthetic_clean(86, width=8, height=6)
+    cfg = Median(3, 3)
+    cache = FBCache(tmp_path / "cache")
+    stored = build_basis(img, [cfg]).planes[0].data.copy()
+    stored[0, 1, 2] = -0.0
+    path = cache.path_for(img, cfg)
+    path.parent.mkdir(parents=True)
+    np.save(path, stored)
+    expected = stored.copy()
+    expected[0, 1, 2] = 0.0
+    for served in (cache.get(img, cfg), build_basis(img, [cfg], cache=cache).planes[0]):
+        assert not np.signbit(served.data[0, 1, 2])
+        assert served.data.tobytes() == expected.tobytes()
+    assert np.load(path).tobytes() == stored.tobytes()  # a hit does not rewrite the file
 
 
 def test_fb_cache_key_covers_kernel_version(tmp_path, monkeypatch):
