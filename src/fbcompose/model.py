@@ -9,9 +9,11 @@ held as one vector (``CompositionModel.params``).
 Being linear, the model is declared once, as a 3 x (n + 2) coefficient
 matrix over the columns [p_1..p_n, source, 1] whose rows give the content,
 restored (source - residual) and merged outputs.  ``forward`` contracts it
-with the planes; ``gradients`` (per pixel) and ``gram_gradients`` (from a
-per-sample Gram matrix, "mse" only) both find the loss gradient with respect
-to that matrix and share one chain from it to the weights.
+with the planes and returns those three rows; neither a residual plane nor
+the residual estimate is ever materialised.  Every loss term scores one row
+minus the clean target.  ``gradients`` (per pixel) and ``gram_gradients``
+(from a per-sample Gram matrix, "mse" only) both find the loss gradient with
+respect to that matrix and share one chain from it to the weights.
 """
 
 from __future__ import annotations
@@ -116,12 +118,12 @@ def init_model(configs: Sequence[FilterConfig]) -> CompositionModel:
 
 @dataclass(frozen=True, eq=False)
 class ForwardOutputs:
-    """Raw (unclamped) branch outputs; clamping happens only on export."""
+    """The model's three raw (unclamped) rows; clamping happens only on
+    export.  The residual estimate is the source minus ``restored``."""
 
     content: np.ndarray
-    residual: np.ndarray
+    restored: np.ndarray
     merged: np.ndarray
-    source: np.ndarray
 
     def content_image(self) -> Image:
         return Image(self.content)
@@ -149,14 +151,14 @@ def _coefficients(model: CompositionModel) -> np.ndarray:
 
 
 def forward(model: CompositionModel, basis: FilteredBasis, residuals=None) -> ForwardOutputs:
-    """Per pixel and channel: content = sum_i wc[i]*plane[i] + bc, residual =
-    sum_i wr[i]*(source - plane[i]) + br, merged = w1*content + w2*(source -
-    residual) + bm.
+    """Per pixel and channel: content = sum_i wc[i]*plane[i] + bc, restored =
+    source - (sum_i wr[i]*(source - plane[i]) + br), merged = w1*content +
+    w2*restored + bm.
 
-    All three outputs come from one contraction of the model's coefficient
-    matrix with the planes and the source.  ``residuals`` is never read: it
-    is kept only for three-argument callers until the benchmark's next
-    update.
+    All three rows come from one contraction of the model's coefficient
+    matrix with the planes and the source, into one (3, C, H, W) array.
+    ``residuals`` is never read: it is kept only for three-argument callers
+    until the benchmark's next update.
     """
     if basis.magnitude != model.magnitude:
         raise ValueError(
@@ -168,8 +170,7 @@ def forward(model: CompositionModel, basis: FilteredBasis, residuals=None) -> Fo
     outputs = (coeffs[:, :n] @ basis.tensor().reshape(n, -1)).reshape((3,) + source.shape)
     outputs += np.multiply.outer(coeffs[:, n], source)
     outputs += coeffs[:, n + 1, None, None, None]
-    content, restored, merged = outputs
-    return ForwardOutputs(content, source - restored, merged, source)
+    return ForwardOutputs(*outputs)
 
 
 def _component(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
@@ -189,9 +190,10 @@ def total_loss(
     """Weighted objective alpha*L_c + lam*L_r + gamma*L_m.
 
     ``kind`` "mse" uses mean squared error per component; "l1_tv" uses mean
-    absolute error and adds tv_weight * TV(merged) once to the total.  The
-    residual branch's target is the signed artifact source - clean.
-    Returns (total, (l_c, l_r, l_m)).
+    absolute error and adds tv_weight * TV(merged) once to the total.  Each
+    component scores one row minus the clean target; L_r's restored - clean
+    is the negation of the residual's error against the signed artifact
+    source - clean.  Returns (total, (l_c, l_r, l_m)).
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
@@ -201,7 +203,7 @@ def total_loss(
             f"target shape {target.shape} does not match outputs {outputs.content.shape}"
         )
     l_c = _component(outputs.content, target, kind)
-    l_r = _component(outputs.residual, outputs.source - target, kind)
+    l_r = _component(outputs.restored, target, kind)
     l_m = _component(outputs.merged, target, kind)
     total = lw.alpha * l_c + lw.lam * l_r + lw.gamma * l_m
     if kind == "l1_tv":
@@ -264,15 +266,10 @@ def gradients(
     target = gt_clean.data
     total, _ = total_loss(out, gt_clean, lw, kind, tv_weight)
 
-    # Each output minus its target; the residual's target is source - clean.
-    errors = np.stack(
-        [out.content - target, out.residual - (out.source - target), out.merged - target]
-    )
+    errors = np.stack([out.content, out.restored, out.merged]) - target
     count = target.size
     d = (2.0 / count) * errors if kind == "mse" else np.sign(errors) / count
-    # Adjoints of the content, restored and merged rows: restored = source -
-    # residual, so the residual term's sign flips.
-    adjoints = np.array([lw.alpha, -lw.lam, lw.gamma])[:, None, None, None] * d
+    adjoints = np.array([lw.alpha, lw.lam, lw.gamma])[:, None, None, None] * d
     if kind == "l1_tv" and tv_weight != 0.0:
         adjoints[2] += tv_weight * _tv_adjoint(out.merged)
 
@@ -280,7 +277,7 @@ def gradients(
     d_coeffs = np.column_stack(
         [
             np.tensordot(adjoints, basis.tensor(), axes=(pixels, pixels)),
-            np.tensordot(adjoints, out.source, axes=3),
+            np.tensordot(adjoints, basis.source.data, axes=3),
             adjoints.sum(axis=pixels),
         ]
     )
@@ -319,8 +316,8 @@ def gram_gradients(
     """``gradients(model, basis, gt_clean, lw, "mse")`` computed in O(n^2)
     from the sample's ``gram_matrix`` alone.
 
-    Each output minus the clean target (the restored output's error is the
-    residual error negated) is X @ e for a row e of the coefficient matrix
+    Each row minus the clean target, the error ``gradients`` and
+    ``total_loss`` score, is X @ e for a row e of the coefficient matrix
     extended by -1 on the target column, so its mean square is e^T G e and
     its gradient with respect to the coefficients is 2 G e.  Each loss
     component is floored at 0, since e^T G e can round below zero at an

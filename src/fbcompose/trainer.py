@@ -52,10 +52,10 @@ class TrainingConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not (self.lr0 > 0):
-            raise ValueError(f"lr0 must be > 0, got {self.lr0}")
-        if not (self.lr_divisor > 1):
-            raise ValueError(f"lr_divisor must be > 1, got {self.lr_divisor}")
+        if not (0 < self.lr0 < np.inf):
+            raise ValueError(f"lr0 must be finite and > 0, got {self.lr0}")
+        if not (1 < self.lr_divisor < np.inf):
+            raise ValueError(f"lr_divisor must be finite and > 1, got {self.lr_divisor}")
         if self.lr_period < 1:
             raise ValueError(f"lr_period must be >= 1, got {self.lr_period}")
         if self.loss_kind not in LOSS_KINDS:

@@ -251,14 +251,15 @@ def test_criterion_6_schedule_and_loss_constants():
     schedule_ok = (
         lr_at(0, cfg) == 0.1 and lr_at(50, cfg) == 0.02 and lr_at(100, cfg) == 0.004
     )
-    # Components engineered to be exactly (1.0, 2.0, 3.0).
+    # Components engineered to be exactly (1.0, 2.0, 3.0); the source is 0,
+    # so restored = source - residual for a residual of (2,2,0,0).
     from fbcompose.model import ForwardOutputs
 
+    source = np.zeros((1, 2, 2))
     outputs = ForwardOutputs(
         content=np.full((1, 2, 2), 1.0),
-        residual=np.array([[[2.0, 2.0], [0.0, 0.0]]]),
+        restored=source - np.array([[[2.0, 2.0], [0.0, 0.0]]]),
         merged=np.array([[[2.0, 2.0], [2.0, 0.0]]]),
-        source=np.zeros((1, 2, 2)),
     )
     total, components = total_loss(outputs, Image(np.zeros((1, 2, 2))))
     loss_ok = components == (1.0, 2.0, 3.0) and total == 0.1 * 1.0 + 0.1 * 2.0 + 1.0 * 3.0

@@ -678,6 +678,20 @@ def test_rejected_recipe_flag_is_usage_error(workspace, capsys, args, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("flag, field", [("--lr0", "lr0"), ("--lr-divisor", "lr_divisor")])
+def test_infinite_learning_rate_flag_is_usage_error(workspace, capsys, command, flag, field):
+    # Unchecked, --lr0 inf read as a divergence at epoch 0 (exit 2) and
+    # --lr-divisor inf wrote Infinity, which is not JSON, into the model.
+    out = workspace / "out.txt"
+    argv = [command, "--preset", str(workspace / "preset.txt"), "--data",
+            str(workspace / "data.txt"), "--out", str(out), flag, "inf"]
+    assert run(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"{command}: {field} must be finite")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args, flag",
     [

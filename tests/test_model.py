@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -205,7 +206,8 @@ def test_reconstruction_consistency_through_merge():
 
 
 def _residual_stack_reference(model, basis):
-    """The forward pass written over an explicit residual stack."""
+    """The forward pass written over an explicit residual stack: content,
+    residual and merged."""
     source = basis.source.data
     n, params = model.magnitude, model.params
     wc, bc = params[:n], params[n]
@@ -225,12 +227,34 @@ def test_forward_matches_residual_stack_reference():
         basis, _ = _synthetic_problem(rng, n, height, width, channels=3 if trial % 2 else 1)
         model = _random_model(rng, basis.configs)
         out = forward(model, basis)
-        for got, want in zip((out.content, out.residual, out.merged),
-                             _residual_stack_reference(model, basis)):
+        content, residual, merged = _residual_stack_reference(model, basis)
+        restored = basis.source.data - residual
+        for got, want in zip((out.content, out.restored, out.merged), (content, restored, merged)):
             assert np.max(np.abs(got - want)) <= 1e-12
         legacy = forward(model, basis, build_residuals(basis))
-        for name in ("content", "residual", "merged", "source"):
+        for name in ("content", "restored", "merged"):
             assert np.array_equal(getattr(legacy, name), getattr(out, name))
+
+
+def test_forward_outputs_are_the_three_rows():
+    assert [f.name for f in fields(ForwardOutputs)] == ["content", "restored", "merged"]
+
+
+@pytest.mark.parametrize("kind", ["mse", "l1_tv"])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_residual_term_scores_the_residual_against_the_artifact(kind, channels):
+    # L_r scores restored - clean; it must equal the residual branch's error
+    # against the signed artifact source - clean, over an explicit stack.
+    rng = np.random.default_rng(97 + channels)
+    f = np.square if kind == "mse" else np.abs
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        basis, gt_clean = _synthetic_problem(rng, n, 6, 7, channels)
+        model = _random_model(rng, basis.configs)
+        _, residual, _ = _residual_stack_reference(model, basis)
+        want = np.mean(f(residual - (basis.source.data - gt_clean.data)))
+        _, (_, l_r, _) = total_loss(forward(model, basis), gt_clean, kind=kind)
+        assert abs(l_r - want) <= 1e-12
 
 
 def test_outputs_clamp_only_on_export():
@@ -267,13 +291,13 @@ def test_total_loss_zero_at_perfect_fit():
 
 def test_total_loss_components_weighted_sum():
     # Components engineered to be exactly (1, 2, 3): diffs of 1 everywhere,
-    # (2,2,0,0) and (2,2,2,0) on four samples.
+    # (2,2,0,0) and (2,2,2,0) on four samples.  The source is 0, so restored
+    # = source - residual for a residual of (2,2,0,0).
     source = np.zeros((1, 2, 2))
     outputs = ForwardOutputs(
         content=np.full((1, 2, 2), 1.0),
-        residual=np.array([[[2.0, 2.0], [0.0, 0.0]]]),
+        restored=source - np.array([[[2.0, 2.0], [0.0, 0.0]]]),
         merged=np.array([[[2.0, 2.0], [2.0, 0.0]]]),
-        source=source,
     )
     gt_clean = Image(np.zeros((1, 2, 2)))
     total, components = total_loss(outputs, gt_clean)

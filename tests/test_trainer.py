@@ -93,6 +93,10 @@ def test_training_config_validation():
         TrainingConfig(lr0=0.0)
     with pytest.raises(ValueError):
         TrainingConfig(lr_divisor=1.0)
+    for field in ("lr0", "lr_divisor"):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                TrainingConfig(**{field: bad})
     with pytest.raises(ValueError):
         TrainingConfig(loss_kind="huber")
 
