@@ -41,7 +41,7 @@ from .metrics import MetricReport, psnr, ssim
 from .model import (
     CompositionModel,
     ForwardOutputs,
-    LossWeights,
+    Loss,
     forward,
     gradients,
     init_model,
@@ -80,7 +80,7 @@ __all__ = [
     "ForwardOutputs",
     "Gaussian",
     "Image",
-    "LossWeights",
+    "Loss",
     "Median",
     "MetricReport",
     "ResidualBasis",

@@ -32,7 +32,7 @@ from .basis import (
 )
 from .filters import FilterConfig, parse_config
 from .metrics import MetricReport
-from .model import LOSS_KINDS, LossWeights, forward, load_model, save_model
+from .model import LOSS_KINDS, Loss, forward, load_model, save_model
 from .pnm import read_image, write_image
 from .trainer import (
     ADAM,
@@ -82,6 +82,13 @@ def _thread_count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 _OUTPUTS = ("output", "out", "history", "report", "csv")
 
 
@@ -127,17 +134,15 @@ def _run_training(args, run):
 
 
 def _training_config(args) -> TrainingConfig:
-    """The recipe flags as a TrainingConfig; a value it or LossWeights
-    rejects is a usage error."""
+    """The recipe flags as a TrainingConfig; a value it or its Loss rejects
+    is a usage error."""
     try:
         return TrainingConfig(
             epochs=args.epochs,
             lr0=args.lr0,
             lr_divisor=args.lr_divisor,
             lr_period=args.lr_period,
-            loss=LossWeights(args.alpha, args.lam, args.gamma),
-            loss_kind=args.loss,
-            tv_weight=args.tv_weight,
+            loss=Loss(args.alpha, args.lam, args.gamma, args.loss, args.tv_weight),
             seed=args.seed,
         )
     except ValueError as exc:
@@ -151,12 +156,12 @@ def _add_training_flags(parser) -> None:
     parser.add_argument("--lr0", type=float, default=recipe.lr0)
     parser.add_argument("--lr-divisor", type=float, default=recipe.lr_divisor)
     parser.add_argument("--lr-period", type=int, default=recipe.lr_period)
-    parser.add_argument("--loss", choices=LOSS_KINDS, default=recipe.loss_kind)
-    parser.add_argument("--tv-weight", type=float, default=recipe.tv_weight)
+    parser.add_argument("--loss", choices=LOSS_KINDS, default=recipe.loss.kind)
+    parser.add_argument("--tv-weight", type=float, default=recipe.loss.tv_weight)
     parser.add_argument("--alpha", type=float, default=recipe.loss.alpha)
     parser.add_argument("--lam", type=float, default=recipe.loss.lam)
     parser.add_argument("--gamma", type=float, default=recipe.loss.gamma)
-    parser.add_argument("--seed", type=int, default=recipe.seed)
+    parser.add_argument("--seed", type=_seed, default=recipe.seed)
     parser.add_argument("--val", help="separate validation dataset manifest")
     parser.add_argument("--cache", help="basis plane cache directory")
 
@@ -211,11 +216,11 @@ def _cmd_train(args) -> int:
     cfg, (model, history) = _run_training(args, train)
     best = history.best
     training_info = {
-        "loss_kind": cfg.loss_kind,
+        "loss_kind": cfg.loss.kind,
         "alpha": cfg.loss.alpha,
         "lambda": cfg.loss.lam,
         "gamma": cfg.loss.gamma,
-        "tv_weight": cfg.tv_weight,
+        "tv_weight": cfg.loss.tv_weight,
         "adam": list(ADAM),
         "epochs": cfg.epochs,
         "batch_size": 1,  # one step per sample; recorded so model files keep their format
@@ -296,7 +301,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("noise", help="synthesize a degraded image")
     p.add_argument("--gaussian", type=float, help="sigma on the 0-255 scale")
     p.add_argument("--impulse", type=float, help="replacement density in [0, 1]")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--ascii", action="store_true", help="write P2/P3 instead of P5/P6")
     p.add_argument("input")
     p.add_argument("output")
@@ -319,7 +324,7 @@ def build_parser() -> _Parser:
     p.add_argument("--select", type=int, required=True, help="preset magnitude")
     p.add_argument("--out", required=True, help="preset manifest to write")
     p.add_argument("--report", help="CSV of all candidate scores")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=_cmd_calibrate)
 
@@ -344,7 +349,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--csv", help="per-image CSV to write")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--cache", help="basis plane cache directory")
     p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=_cmd_eval)

@@ -10,10 +10,11 @@ Being linear, the model is declared once, as a 3 x (n + 2) coefficient
 matrix over the columns [p_1..p_n, source, 1] whose rows give the content,
 restored (source - residual) and merged outputs.  ``forward`` contracts it
 with the planes and returns those three rows; neither a residual plane nor
-the residual estimate is ever materialised.  Every loss term scores one row
-minus the clean target.  ``gradients`` (per pixel) and ``gram_gradients``
-(from a per-sample Gram matrix, "mse" only) both find the loss gradient with
-respect to that matrix and share one chain from it to the weights.
+the residual estimate is ever materialised.  One ``Loss`` declares the
+objective, and each of its terms scores one row minus the clean target.
+``gradients`` (per pixel) and ``gram_gradients`` (from a per-sample Gram
+matrix, "mse" only) both find the loss gradient with respect to that matrix
+and share one chain from it to the weights.
 """
 
 from __future__ import annotations
@@ -35,17 +36,25 @@ LOSS_KINDS = ("mse", "l1_tv")
 
 
 @dataclass(frozen=True)
-class LossWeights:
-    """Trade-off weights for the content, residual and merge loss terms."""
+class Loss:
+    """The objective alpha*L_c + lam*L_r + gamma*L_m under ``kind``'s error
+    (squared or absolute), plus tv_weight * TV(merged), which only "l1_tv" sets."""
 
     alpha: float = 0.1
     lam: float = 0.1
     gamma: float = 1.0
+    kind: str = "mse"
+    tv_weight: float = 0.0
 
     def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("lam", self.lam), ("gamma", self.gamma)):
+        if self.kind not in LOSS_KINDS:
+            raise ValueError(f"kind must be one of {LOSS_KINDS}, got {self.kind!r}")
+        for name in ("alpha", "lam", "gamma", "tv_weight"):
+            value = getattr(self, name)
             if not (0.0 <= value < np.inf):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if self.kind != "l1_tv" and self.tv_weight != 0.0:
+            raise ValueError(f"tv_weight must be 0 unless kind is 'l1_tv', got {self.tv_weight}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,11 +167,12 @@ def forward(model: CompositionModel, basis: FilteredBasis, residuals=None) -> Fo
     All three rows come from one contraction of the model's coefficient
     matrix with the planes and the source, into one (3, C, H, W) array.
     ``residuals`` is never read: it is kept only for three-argument callers
-    until the benchmark's next update.
+    until the benchmark's next update.  ``basis`` must hold the model's configs.
     """
-    if basis.magnitude != model.magnitude:
+    if tuple(basis.configs) != model.basis_configs:
         raise ValueError(
-            f"basis magnitude {basis.magnitude} does not match model magnitude {model.magnitude}"
+            f"basis configs {[cfg.canonical() for cfg in basis.configs]} do not match "
+            f"model configs {[cfg.canonical() for cfg in model.basis_configs]}"
         )
     n = model.magnitude
     source = basis.source.data
@@ -181,33 +191,26 @@ def _component(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
 
 
 def total_loss(
-    outputs: ForwardOutputs,
-    gt_clean: Image,
-    lw: LossWeights = LossWeights(),
-    kind: str = "mse",
-    tv_weight: float = 0.0,
+    outputs: ForwardOutputs, gt_clean: Image, loss: Loss = Loss()
 ) -> tuple[float, tuple[float, float, float]]:
-    """Weighted objective alpha*L_c + lam*L_r + gamma*L_m.
+    """The objective ``loss`` declares: alpha*L_c + lam*L_r + gamma*L_m,
+    plus tv_weight * TV(merged) once for "l1_tv".
 
-    ``kind`` "mse" uses mean squared error per component; "l1_tv" uses mean
-    absolute error and adds tv_weight * TV(merged) once to the total.  Each
-    component scores one row minus the clean target; L_r's restored - clean
-    is the negation of the residual's error against the signed artifact
-    source - clean.  Returns (total, (l_c, l_r, l_m)).
+    Each component scores one row minus the clean target; L_r's restored -
+    clean is the negation of the residual's error against the signed
+    artifact source - clean.  Returns (total, (l_c, l_r, l_m)).
     """
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
     target = gt_clean.data
     if target.shape != outputs.content.shape:
         raise ValueError(
             f"target shape {target.shape} does not match outputs {outputs.content.shape}"
         )
-    l_c = _component(outputs.content, target, kind)
-    l_r = _component(outputs.restored, target, kind)
-    l_m = _component(outputs.merged, target, kind)
-    total = lw.alpha * l_c + lw.lam * l_r + lw.gamma * l_m
-    if kind == "l1_tv":
-        total = total + tv_weight * tv_of_array(outputs.merged)
+    l_c = _component(outputs.content, target, loss.kind)
+    l_r = _component(outputs.restored, target, loss.kind)
+    l_m = _component(outputs.merged, target, loss.kind)
+    total = loss.alpha * l_c + loss.lam * l_r + loss.gamma * l_m
+    if loss.tv_weight != 0.0:
+        total = total + loss.tv_weight * tv_of_array(outputs.merged)
     return float(total), (l_c, l_r, l_m)
 
 
@@ -248,15 +251,10 @@ def _chain(model: CompositionModel, coeffs: np.ndarray, d_coeffs: np.ndarray) ->
 
 
 def gradients(
-    model: CompositionModel,
-    basis: FilteredBasis,
-    gt_clean: Image,
-    lw: LossWeights = LossWeights(),
-    kind: str = "mse",
-    tv_weight: float = 0.0,
+    model: CompositionModel, basis: FilteredBasis, gt_clean: Image, loss: Loss = Loss()
 ) -> tuple[float, np.ndarray]:
-    """Exact derivatives of ``total_loss`` w.r.t. every weight and bias,
-    as one vector in the ``CompositionModel`` layout.
+    """Exact derivatives of ``total_loss`` under ``loss`` w.r.t. every weight
+    and bias, as one vector in the ``CompositionModel`` layout.
 
     The per-pixel adjoints of the content, restored and merged outputs are
     contracted with the coefficient matrix's columns; for "l1_tv" the
@@ -264,14 +262,14 @@ def gradients(
     """
     out = forward(model, basis)
     target = gt_clean.data
-    total, _ = total_loss(out, gt_clean, lw, kind, tv_weight)
+    total, _ = total_loss(out, gt_clean, loss)
 
     errors = np.stack([out.content, out.restored, out.merged]) - target
     count = target.size
-    d = (2.0 / count) * errors if kind == "mse" else np.sign(errors) / count
-    adjoints = np.array([lw.alpha, lw.lam, lw.gamma])[:, None, None, None] * d
-    if kind == "l1_tv" and tv_weight != 0.0:
-        adjoints[2] += tv_weight * _tv_adjoint(out.merged)
+    d = (2.0 / count) * errors if loss.kind == "mse" else np.sign(errors) / count
+    adjoints = np.array([loss.alpha, loss.lam, loss.gamma])[:, None, None, None] * d
+    if loss.tv_weight != 0.0:
+        adjoints[2] += loss.tv_weight * _tv_adjoint(out.merged)
 
     pixels = (1, 2, 3)
     d_coeffs = np.column_stack(
@@ -311,10 +309,10 @@ def gram_matrix(basis: FilteredBasis, gt_clean: Image) -> np.ndarray:
 
 
 def gram_gradients(
-    model: CompositionModel, gram: np.ndarray, lw: LossWeights = LossWeights()
+    model: CompositionModel, gram: np.ndarray, loss: Loss = Loss()
 ) -> tuple[float, np.ndarray]:
-    """``gradients(model, basis, gt_clean, lw, "mse")`` computed in O(n^2)
-    from the sample's ``gram_matrix`` alone.
+    """``gradients(model, basis, gt_clean, loss)`` for an "mse" ``loss`` (the
+    one kind it is exact for), computed in O(n^2) from the ``gram_matrix``.
 
     Each row minus the clean target, the error ``gradients`` and
     ``total_loss`` score, is X @ e for a row e of the coefficient matrix
@@ -323,6 +321,8 @@ def gram_gradients(
     component is floored at 0, since e^T G e can round below zero at an
     exact fit.
     """
+    if loss.kind != "mse":
+        raise ValueError(f"gram_gradients needs loss kind 'mse', got {loss.kind!r}")
     n = model.magnitude
     if gram.shape != (n + 3, n + 3):
         raise ValueError(
@@ -332,8 +332,8 @@ def gram_gradients(
     errors = np.column_stack([coeffs, np.full(3, -1.0)])
     projected = errors @ gram
     l_c, l_r, l_m = (max(float(v), 0.0) for v in (errors * projected).sum(axis=1))
-    total = lw.alpha * l_c + lw.lam * l_r + lw.gamma * l_m
-    weights = np.array([[lw.alpha], [lw.lam], [lw.gamma]])
+    total = loss.alpha * l_c + loss.lam * l_r + loss.gamma * l_m
+    weights = np.array([[loss.alpha], [loss.lam], [loss.gamma]])
     return float(total), _chain(model, coeffs, 2.0 * weights * projected[:, : n + 2])
 
 

@@ -1,4 +1,4 @@
-"""Dataset plumbing, Adam, the per-sample training loop and evaluation."""
+"""Dataset plumbing, Adam, the per-sample training loop under one ``Loss``, and evaluation."""
 
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ from .metrics import MetricReport, psnr, ssim
 from .model import (
     CompositionModel,
     ForwardOutputs,
-    LOSS_KINDS,
-    LossWeights,
+    Loss,
     forward,
     gradients,
     gram_gradients,
@@ -37,16 +36,14 @@ class TrainingConfig:
 
     Defaults follow the standard recipe for this model family: 250 epochs
     of one Adam step per sample, learning rate 0.1 divided by 5 every 50
-    epochs, loss weights (0.1, 0.1, 1.0).
+    epochs, and the default ``Loss``: mse with term weights (0.1, 0.1, 1.0).
     """
 
     epochs: int = 250
     lr0: float = 0.1
     lr_divisor: float = 5.0
     lr_period: int = 50
-    loss: LossWeights = LossWeights()
-    loss_kind: str = "mse"
-    tv_weight: float = 0.0
+    loss: Loss = Loss()
     seed: int = 0
 
     def __post_init__(self):
@@ -58,12 +55,8 @@ class TrainingConfig:
             raise ValueError(f"lr_divisor must be finite and > 1, got {self.lr_divisor}")
         if self.lr_period < 1:
             raise ValueError(f"lr_period must be >= 1, got {self.lr_period}")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if not (0.0 <= self.tv_weight < np.inf):
-            raise ValueError(f"tv_weight must be finite and non-negative, got {self.tv_weight}")
-        if self.loss_kind != "l1_tv" and self.tv_weight != 0.0:
-            raise ValueError(f"tv_weight must be 0 unless loss_kind is 'l1_tv', got {self.tv_weight}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def lr_at(epoch: int, cfg: TrainingConfig) -> float:
@@ -289,8 +282,8 @@ def _prepare_training(
     val_samples: Sequence[Sample] | None, val_fraction: float, threads: int, cache: FBCache | None,
 ) -> tuple[list, list, list, list]:
     """Split off validation and build each distinct sample's basis once.
-    Returns the training samples, their ``step(model, lw) -> (loss, gradient)``
-    functions under ``cfg.loss_kind``, the validation samples and their bases."""
+    Returns the training samples, their ``step(model, loss)`` functions, each
+    holding only its Gram matrix ("mse") or basis, and the validation ones."""
     samples = list(samples)
     if not samples:
         raise ValueError("training needs at least one sample")
@@ -302,10 +295,10 @@ def _prepare_training(
             raise ValueError("explicit validation set is empty")
 
     def keep(sample: Sample, basis: FilteredBasis) -> Callable:
-        if cfg.loss_kind == "mse":
+        if cfg.loss.kind == "mse":
             gram = gram_matrix(basis, sample.clean)
-            return lambda model, lw: gram_gradients(model, gram, lw)
-        return lambda model, lw: gradients(model, basis, sample.clean, lw, cfg.loss_kind, cfg.tv_weight)
+            return lambda model, loss: gram_gradients(model, gram, loss)
+        return lambda model, loss: gradients(model, basis, sample.clean, loss)
 
     # Training-only samples go first, while no validation basis is held; the rest reuse theirs.
     val_ids = {id(sample) for sample in val_part}
@@ -333,8 +326,8 @@ def _fit(
     cfg: TrainingConfig, configs: Sequence[FilterConfig],
     train_part: list, steps: list, val_part: list, val_bases: list,
 ) -> tuple[CompositionModel, TrainHistory]:
-    """Train's Adam loop under ``cfg``'s schedule, seed and loss weights over
-    ``_prepare_training``'s data; the steps carry the objective."""
+    """Train's Adam loop under ``cfg``'s schedule, seed and objective over
+    ``_prepare_training``'s data; each step is given ``cfg.loss``."""
     model = init_model(configs)
     params = model_to_vector(model)
     state = AdamState.zeros(params.size)
@@ -441,10 +434,10 @@ def ablate_residual(
 ) -> AblationReport:
     """Train twice under identical seeds and data order on one set of bases:
     the full objective, scored by the final epoch's validation PSNR, and a
-    content-only arm (lam = gamma = 0, scored on the clamped content
-    output).  Any PSNR difference is attributable to the objective."""
+    content-only arm (lam = gamma = tv_weight = 0, scored on the clamped
+    content output).  Any PSNR difference is attributable to the objective."""
     data = _prepare_training(samples, basis_configs, cfg, val_samples, val_fraction, threads, cache)
-    content_cfg = replace(cfg, loss=LossWeights(cfg.loss.alpha, 0.0, 0.0))
+    content_cfg = replace(cfg, loss=replace(cfg.loss, lam=0.0, gamma=0.0, tv_weight=0.0))
     _, dual = _fit(cfg, basis_configs, *data)
     content_model, _ = _fit(content_cfg, basis_configs, *data)
     content = _mean_psnr(content_model, *data[2:], ForwardOutputs.content_image)

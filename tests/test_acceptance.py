@@ -14,7 +14,7 @@ import pytest
 
 from fbcompose import (
     Candidate,
-    LossWeights,
+    Loss,
     TrainingConfig,
     ablate_residual,
     bilateral,
@@ -141,9 +141,8 @@ def test_criterion_2_gradients_match_finite_differences():
                 [rng.normal(0.5, 0.4), rng.normal(0.5, 0.4), rng.normal(0, 0.3)],
             ])
             model = CompositionModel(configs, params)
-            lw = LossWeights()
-            _, grads = gradients(model, basis, gt_clean, lw=lw)
-            fd = fd_gradients(model, basis, gt_clean, lw, "mse", 0.0)
+            _, grads = gradients(model, basis, gt_clean, Loss())
+            fd = fd_gradients(model, basis, gt_clean, Loss())
             worst = max(worst, float(_relative_error(grads, fd)))
             instances += 1
     ok = worst < 1e-5 and instances >= 50

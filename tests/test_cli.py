@@ -622,6 +622,21 @@ def test_builtin_preset_names(workspace):
     assert rc == 2
 
 
+def _workspace_argv(workspace, args):
+    """``args`` with {data}, {preset}, {model}, {clean} and {out} naming files of
+    ``workspace``; {model} is a freshly saved two-config model."""
+    model = workspace / "model.cfmodel"
+    save_model(init_model([Median(3, 3), Median(1, 1)]), model)
+    paths = {
+        "data": workspace / "data.txt",
+        "preset": workspace / "preset.txt",
+        "model": model,
+        "clean": workspace / "clean.pgm",
+        "out": workspace / "out.txt",
+    }
+    return [arg.format(**paths) for arg in args]
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 @pytest.mark.parametrize(
     "args",
@@ -636,19 +651,31 @@ def test_builtin_preset_names(workspace):
     ids=lambda args: args[0],
 )
 def test_nonpositive_threads_is_usage_error(workspace, capsys, args, threads):
-    model = workspace / "model.cfmodel"
-    save_model(init_model([Median(3, 3), Median(1, 1)]), model)
     out = workspace / "out.txt"
-    paths = {
-        "data": workspace / "data.txt",
-        "preset": workspace / "preset.txt",
-        "model": model,
-        "clean": workspace / "clean.pgm",
-        "out": out,
-    }
-    argv = [arg.format(**paths) for arg in args] + ["--threads", threads]
-    assert run(argv) == 1
+    assert run(_workspace_argv(workspace, args) + ["--threads", threads]) == 1
     assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["noise", "--gaussian", "25", "{clean}", "{out}"],
+        ["calibrate", "--grid", "median:k1=1|3,k2=1", "--pairs", "{data}", "--select", "1",
+         "--out", "{out}"],
+        ["train", "--preset", "{preset}", "--data", "{data}", "--epochs", "1", "--out", "{out}"],
+        ["eval", "--model", "{model}", "--data", "{data}", "--csv", "{out}"],
+        ["ablate", "--preset", "{preset}", "--data", "{data}", "--epochs", "1", "--out", "{out}"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_negative_seed_is_usage_error(workspace, capsys, args):
+    # The flag is named on the first line, and no seed reaches the noise generator.
+    out = workspace / "out.txt"
+    assert run(_workspace_argv(workspace, args) + ["--seed", "-1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"fbcompose {args[0]}: argument --seed: seed must be >= 0, got -1"
+    assert [line for line in err if "--seed" in line] == err[:1]
     assert not out.exists()
 
 

@@ -12,7 +12,7 @@ from fbcompose import (
     DatasetSpec,
     Gaussian,
     Image,
-    LossWeights,
+    Loss,
     Median,
     Sample,
     TrainingConfig,
@@ -97,26 +97,28 @@ def test_training_config_validation():
         for bad in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 TrainingConfig(**{field: bad})
-    with pytest.raises(ValueError):
-        TrainingConfig(loss_kind="huber")
+    with pytest.raises(ValueError, match="seed"):
+        TrainingConfig(seed=-1)
+    with pytest.raises(ValueError, match="kind"):
+        Loss(kind="huber")
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"tv_weight": 0.5},  # the mse objective never reads it
-        {"loss_kind": "l1_tv", "tv_weight": -0.1},
-        {"loss_kind": "l1_tv", "tv_weight": float("nan")},
-        {"loss_kind": "l1_tv", "tv_weight": float("inf")},
+        {"kind": "l1_tv", "tv_weight": -0.1},
+        {"kind": "l1_tv", "tv_weight": float("nan")},
+        {"kind": "l1_tv", "tv_weight": float("inf")},
     ],
 )
 def test_training_config_rejects_tv_weight(kwargs):
     with pytest.raises(ValueError, match="tv_weight"):
-        TrainingConfig(**kwargs)
+        Loss(**kwargs)
 
 
 def test_training_config_accepts_tv_weight_for_l1_tv():
-    assert TrainingConfig(loss_kind="l1_tv", tv_weight=0.5).tv_weight == 0.5
+    assert TrainingConfig(loss=Loss(kind="l1_tv", tv_weight=0.5)).loss.tv_weight == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +307,7 @@ def test_train_identity_basis_drives_convex_loss_below_1e6():
     # exact solution w=(1,0), b=0, and the optimizer must approach it.
     samples = _identity_suite()
     configs = [Median(1, 1), Gaussian(1.0)]
-    cfg = TrainingConfig(seed=1, loss=LossWeights(alpha=1.0, lam=0.0, gamma=0.0))
+    cfg = TrainingConfig(seed=1, loss=Loss(alpha=1.0, lam=0.0, gamma=0.0))
     model, history = train(samples, configs, cfg, val_samples=samples)
     assert history.records[-1].train_loss < 1e-6
     assert len(history.records) == 250
@@ -403,9 +405,7 @@ def _reference_train(samples, configs, cfg, val_samples):
         losses = []
         for idx in rng.permutation(len(samples)):
             model = vector_to_model(params, configs)
-            loss, grads = gradients(
-                model, bases[idx], samples[idx].clean, cfg.loss, cfg.loss_kind, cfg.tv_weight
-            )
+            loss, grads = gradients(model, bases[idx], samples[idx].clean, cfg.loss)
             params, state = adam_step(params, grads, state, lr)
             losses.append(loss)
         model = vector_to_model(params, configs)
@@ -443,7 +443,7 @@ def test_train_l1_tv_is_the_pixel_gradient_reference():
     samples = _noisy_suite(5, 16, 300)
     val = _noisy_suite(2, 16, 310)
     configs = [Median(3, 3), Gaussian(1.0), Median(1, 1)]
-    cfg = TrainingConfig(seed=13, epochs=20, loss_kind="l1_tv", tv_weight=0.05)
+    cfg = TrainingConfig(seed=13, epochs=20, loss=Loss(kind="l1_tv", tv_weight=0.05))
     model, history = train(samples, configs, cfg, val_samples=val)
     ref_params, ref_records = _reference_train(samples, configs, cfg, val)
     assert np.array_equal(model_to_vector(model), ref_params)
@@ -463,8 +463,8 @@ def desk_mse_optimum():
     configs = BUILTIN_PRESETS["bilateral9"]()
     bases = [build_basis(s.degraded, configs) for s in samples]
     gram = oracle_mean_gram(bases, [s.clean for s in samples])
-    lw = LossWeights()
-    weights = (lw.alpha, lw.lam, lw.gamma)
+    loss = Loss()
+    weights = (loss.alpha, loss.lam, loss.gamma)
     optimum = oracle_als_mse(gram, weights, init_model(configs).params)
     return samples, configs, gram, weights, optimum
 
@@ -616,7 +616,7 @@ def test_ablate_builds_each_sample_once(monkeypatch, threads, case, loss_kind):
     samples, val_samples, train_part, val_part = _ablation_split(case)
     configs = [Median(3, 3), Gaussian(1.0)]
     tv_weight = 0.05 if loss_kind == "l1_tv" else 0.0
-    cfg = TrainingConfig(seed=13, epochs=6, loss_kind=loss_kind, tv_weight=tv_weight)
+    cfg = TrainingConfig(seed=13, epochs=6, loss=Loss(kind=loss_kind, tv_weight=tv_weight))
     built = []
 
     def counting_build_basis(source, *args, **kwargs):
@@ -631,10 +631,25 @@ def test_ablate_builds_each_sample_once(monkeypatch, threads, case, loss_kind):
     assert sorted(built) == sorted(distinct)
 
     dual_model, _ = train(train_part, configs, cfg, val_samples=val_part)
-    content_cfg = replace(cfg, loss=LossWeights(cfg.loss.alpha, 0.0, 0.0))
+    content_cfg = replace(cfg, loss=replace(cfg.loss, lam=0.0, gamma=0.0, tv_weight=0.0))
     content_model, _ = train(train_part, configs, content_cfg, val_samples=val_part)
     content = float(np.mean([
         psnr(forward(content_model, build_basis(s.degraded, configs)).content_image(), s.clean)
         for s in val_part
     ]))
     assert report == AblationReport(evaluate(dual_model, val_part).psnr, content)
+
+
+def test_ablate_content_arm_ignores_the_tv_weight():
+    # The content-only arm trains on the content term alone, so no TV(merged)
+    # term may reach its content weights through the merge weight w1.
+    samples = _noisy_suite(4, 16, 640)
+    configs = [Median(3, 3), Gaussian(1.0), Median(1, 1)]
+    dual, content = set(), set()
+    for tv_weight in (0.0, 0.05):
+        cfg = TrainingConfig(seed=14, epochs=30, loss=Loss(kind="l1_tv", tv_weight=tv_weight))
+        report = ablate_residual(samples, configs, cfg, val_samples=samples[:2])
+        dual.add(report.dual_branch_psnr)
+        content.add(report.content_only_psnr)
+    assert len(dual) == 2  # the TV weight moves the full objective's arm
+    assert len(content) == 1
