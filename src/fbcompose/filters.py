@@ -12,6 +12,7 @@ import collections
 import dataclasses
 import math
 import re
+import sys
 from typing import Any, Callable, ClassVar, Hashable, Mapping, Sequence
 
 import numpy as np
@@ -27,8 +28,13 @@ def _fmt_num(x: float) -> str:
 
 
 def _check_sigma(name: str, value: float) -> None:
+    """Every kernel divides by 2*sigma*sigma, so that must be a normal float."""
     if not (0 < value < math.inf):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if 2.0 * value * value < sys.float_info.min:
+        raise ValueError(
+            f"{name} is too small: 2*{name}^2 must be at least {sys.float_info.min!r}, got {value}"
+        )
 
 
 def _check_odd(name: str, value: int) -> None:

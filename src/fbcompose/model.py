@@ -9,8 +9,8 @@ held as one vector (``CompositionModel.params``).
 Being linear, the model is declared once, as a 3 x (n + 2) coefficient
 matrix over the columns [p_1..p_n, source, 1] whose rows give the content,
 restored (source - residual) and merged outputs.  ``forward`` contracts it
-with the planes and returns those three rows; neither a residual plane nor
-the residual estimate is ever materialised.  One ``Loss`` declares the
+with the planes and returns the three rows as one array; no residual plane
+or residual estimate is ever materialised.  One ``Loss`` declares the
 objective, and each of its terms scores one row minus the clean target.
 ``gradients`` (per pixel) and ``gram_gradients`` (from a per-sample Gram
 matrix, "mse" only) both find the loss gradient with respect to that matrix
@@ -127,15 +127,23 @@ def init_model(configs: Sequence[FilterConfig]) -> CompositionModel:
 
 @dataclass(frozen=True, eq=False)
 class ForwardOutputs:
-    """The model's three raw (unclamped) rows; clamping happens only on
-    export.  The residual estimate is the source minus ``restored``."""
+    """The model's raw (unclamped) rows as the one (3, C, H, W) array ``forward``
+    computes, each read by name as a view.  Clamping happens only on export.
+    The residual estimate is the source minus ``restored``."""
 
-    content: np.ndarray
-    restored: np.ndarray
-    merged: np.ndarray
+    rows: np.ndarray
 
-    def content_image(self) -> Image:
-        return Image(self.content)
+    @property
+    def content(self) -> np.ndarray:
+        return self.rows[0]
+
+    @property
+    def restored(self) -> np.ndarray:
+        return self.rows[1]
+
+    @property
+    def merged(self) -> np.ndarray:
+        return self.rows[2]
 
     def merged_image(self) -> Image:
         return Image(self.merged)
@@ -180,14 +188,7 @@ def forward(model: CompositionModel, basis: FilteredBasis, residuals=None) -> Fo
     outputs = (coeffs[:, :n] @ basis.tensor().reshape(n, -1)).reshape((3,) + source.shape)
     outputs += np.multiply.outer(coeffs[:, n], source)
     outputs += coeffs[:, n + 1, None, None, None]
-    return ForwardOutputs(*outputs)
-
-
-def _component(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
-    diff = pred - target
-    if kind == "mse":
-        return float(np.mean(diff * diff))
-    return float(np.mean(np.abs(diff)))
+    return ForwardOutputs(outputs)
 
 
 def total_loss(
@@ -205,9 +206,8 @@ def total_loss(
         raise ValueError(
             f"target shape {target.shape} does not match outputs {outputs.content.shape}"
         )
-    l_c = _component(outputs.content, target, loss.kind)
-    l_r = _component(outputs.restored, target, loss.kind)
-    l_m = _component(outputs.merged, target, loss.kind)
+    error = np.square if loss.kind == "mse" else np.abs
+    l_c, l_r, l_m = (float(np.mean(error(row - target))) for row in outputs.rows)
     total = loss.alpha * l_c + loss.lam * l_r + loss.gamma * l_m
     if loss.tv_weight != 0.0:
         total = total + loss.tv_weight * tv_of_array(outputs.merged)
@@ -264,7 +264,7 @@ def gradients(
     target = gt_clean.data
     total, _ = total_loss(out, gt_clean, loss)
 
-    errors = np.stack([out.content, out.restored, out.merged]) - target
+    errors = out.rows - target
     count = target.size
     d = (2.0 / count) * errors if loss.kind == "mse" else np.sign(errors) / count
     adjoints = np.array([loss.alpha, loss.lam, loss.gamma])[:, None, None, None] * d
@@ -378,6 +378,13 @@ def load_model_document(path) -> dict:
     return doc
 
 
+def _float(value) -> float:
+    """A JSON number as a float; ``float`` alone would also read true, false and "1"."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def load_model(path) -> CompositionModel:
     """Read a ``save_model`` document.  A bad field, a branch weight count
     that differs from the config count, a non-finite weight or a malformed
@@ -386,13 +393,13 @@ def load_model(path) -> CompositionModel:
     try:
         configs = tuple(parse_config(text) for text in doc["configs"])
         content, residual, merge = doc["content"], doc["residual"], doc["merge"]
-        wc = np.asarray(content["weights"], dtype=np.float64)
-        wr = np.asarray(residual["weights"], dtype=np.float64)
+        wc = np.array([_float(w) for w in content["weights"]])
+        wr = np.array([_float(w) for w in residual["weights"]])
         params = np.concatenate([
-            wc, [float(content["bias"])], wr, [float(residual["bias"])],
-            [float(merge["w_content"]), float(merge["w_residual_path"]), float(merge["bias"])],
+            wc, [_float(content["bias"])], wr, [_float(residual["bias"])],
+            [_float(merge["w_content"]), _float(merge["w_residual_path"]), _float(merge["bias"])],
         ])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model document: {exc}") from exc
     for name, weights in (("content", wc), ("residual", wr)):
         if weights.size != len(configs):

@@ -23,10 +23,10 @@ _HEADER_TOKEN = re.compile(rb"(?:\s|" + _COMMENT.pattern + rb")*([^\s#]+)")
 
 
 def _parse_int(token: bytes, what: str, path) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"{path}: non-numeric {what}: {token!r}") from None
+    """ASCII decimal digits only: ``int`` alone would also read b"1_0" and b"+5"."""
+    if not token.isdigit():
+        raise ValueError(f"{path}: non-numeric {what}: {token!r}")
+    return int(token)
 
 
 def read_image(path) -> Image:

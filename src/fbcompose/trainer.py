@@ -17,7 +17,6 @@ from .image import Image
 from .metrics import MetricReport, psnr, ssim
 from .model import (
     CompositionModel,
-    ForwardOutputs,
     Loss,
     forward,
     gradients,
@@ -60,10 +59,14 @@ class TrainingConfig:
 
 
 def lr_at(epoch: int, cfg: TrainingConfig) -> float:
-    """Step schedule: lr0 / divisor**(epoch // period)."""
+    """Step schedule: lr0 / divisor**(epoch // period), and 0.0 once that
+    power overflows a float."""
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
-    return cfg.lr0 / cfg.lr_divisor ** (epoch // cfg.lr_period)
+    try:
+        return cfg.lr0 / cfg.lr_divisor ** (epoch // cfg.lr_period)
+    except OverflowError:
+        return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +313,12 @@ def _prepare_training(
     return train_part, steps, val_part, val_bases
 
 
-def _mean_psnr(
-    model: CompositionModel, samples: list, bases: list, output: Callable = ForwardOutputs.merged_image
-) -> float:
+def _mean_psnr(model: CompositionModel, samples: list, bases: list, row: int = 2) -> float:
+    """Mean PSNR of the clamped output ``row``: 2 is the merged one, 0 the content one."""
     values = []
     for sample, basis in zip(samples, bases):
         try:
-            values.append(psnr(output(forward(model, basis)), sample.clean))
+            values.append(psnr(Image(forward(model, basis).rows[row]), sample.clean))
         except ValueError as exc:  # finite parameters, non-finite output
             raise ValueError(f"validation sample {sample.sample_id!r}: {exc}") from exc
     return float(np.mean(values))
@@ -440,5 +442,5 @@ def ablate_residual(
     content_cfg = replace(cfg, loss=replace(cfg.loss, lam=0.0, gamma=0.0, tv_weight=0.0))
     _, dual = _fit(cfg, basis_configs, *data)
     content_model, _ = _fit(content_cfg, basis_configs, *data)
-    content = _mean_psnr(content_model, *data[2:], ForwardOutputs.content_image)
+    content = _mean_psnr(content_model, *data[2:], row=0)
     return AblationReport(dual.records[-1].val_psnr, content)

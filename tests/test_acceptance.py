@@ -255,11 +255,10 @@ def test_criterion_6_schedule_and_loss_constants():
     from fbcompose.model import ForwardOutputs
 
     source = np.zeros((1, 2, 2))
-    outputs = ForwardOutputs(
-        content=np.full((1, 2, 2), 1.0),
-        restored=source - np.array([[[2.0, 2.0], [0.0, 0.0]]]),
-        merged=np.array([[[2.0, 2.0], [2.0, 0.0]]]),
-    )
+    content = np.full((1, 2, 2), 1.0)
+    restored = source - np.array([[[2.0, 2.0], [0.0, 0.0]]])
+    merged = np.array([[[2.0, 2.0], [2.0, 0.0]]])
+    outputs = ForwardOutputs(np.stack([content, restored, merged]))
     total, components = total_loss(outputs, Image(np.zeros((1, 2, 2))))
     loss_ok = components == (1.0, 2.0, 3.0) and total == 0.1 * 1.0 + 0.1 * 2.0 + 1.0 * 3.0
     loss_ok = loss_ok and abs(total - 3.3) < 1e-12

@@ -83,6 +83,25 @@ def test_noise_bad_gaussian_sigma_is_processing_error_naming_it(workspace, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ("bilateral:ss=1,sr=1e-200,k=3", "sigma_range"),
+        ("bilateral:ss=1e-200,sr=1,k=3", "sigma_spatial"),
+        ("rgf:sr=1e-200,ss=1,k=3,t=1", "sigma_range"),
+        ("gauss:ss=1e-170", "sigma_spatial"),
+        ("bilateral:ss=1,sr=1e-160,k=3", "sigma_range"),
+    ],
+)
+def test_filter_tiny_sigma_is_processing_error_naming_the_field(workspace, capsys, config, field):
+    out = workspace / "nope.pgm"
+    assert run(["filter", config, str(workspace / "clean.pgm"), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad filter config '{config}': {field} is too small")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_filter_subcommand_matches_library(workspace):
     out = workspace / "filtered.pgm"
     assert run(["filter", "median:3x3", str(workspace / "clean.pgm"), str(out)]) == 0
@@ -378,6 +397,21 @@ def test_train_builtin_preset_and_threads_identical_outputs(workspace):
         assert rc == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_train_runs_past_the_float_range_of_its_schedule(workspace, capsys):
+    # With --lr-period 1 the divisor 5 ** epoch overflows a float at epoch 442.
+    out, history = workspace / "model.cfmodel", workspace / "history.csv"
+    rc = run(
+        [
+            "train", "--preset", str(workspace / "preset.txt"), "--data", str(workspace / "data.txt"),
+            "--out", str(out), "--history", str(history), "--epochs", "450", "--lr-period", "1",
+        ]
+    )
+    assert rc == 0, capsys.readouterr().err
+    rows = history.read_text().splitlines()
+    assert len(rows) == 451 and rows[-1].split(",")[1] == "0.0"
+    load_model(out)
 
 
 def test_train_divergence_names_epoch_lr_and_samples(workspace, capsys):

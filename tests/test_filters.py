@@ -1,5 +1,8 @@
 import math
+import re
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -92,12 +95,13 @@ def test_canonical_preserves_full_float_precision():
 
 @st.composite
 def _any_config(draw):
-    """A valid config of any declared kind: positive finite floats, odd ints."""
+    """A valid config of any declared kind: odd ints, and finite floats from
+    2^-511, whose 2*v*v is the smallest normal float, up."""
     cls = KINDS[draw(st.sampled_from(sorted(KINDS)))]
     values = [
         draw(st.integers(0, 10**6).map(lambda k: 2 * k + 1))
         if is_int
-        else draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+        else draw(st.floats(min_value=math.sqrt(sys.float_info.min), allow_infinity=False))
         for _, is_int, _ in cls._TABLE.values()
     ]
     return cls(*values)
@@ -188,6 +192,60 @@ def test_config_validation():
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == message
+
+
+def _sigma_bounds():
+    """The least sigma whose 2*sigma*sigma, the denominator of every kernel,
+    is a normal float, and the float just below it."""
+    least = math.sqrt(sys.float_info.min / 2.0)
+    while 2.0 * least * least < sys.float_info.min:
+        least = math.nextafter(least, math.inf)
+    while 2.0 * math.nextafter(least, 0.0) * math.nextafter(least, 0.0) >= sys.float_info.min:
+        least = math.nextafter(least, 0.0)
+    return least, math.nextafter(least, 0.0)
+
+
+# Saturated colour edges: every guide difference is 0 or 1 per channel, so
+# the range exponent reaches its largest value, 3 / (2 sigma_range^2).
+_EDGES = Image(np.indices((3, 6, 7)).sum(axis=0) % 2 * 1.0)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_sigma_boundary_for_every_kind(kind, channels):
+    least, rejected = _sigma_bounds()
+    cls, table = KINDS[kind], list(KINDS[kind]._TABLE.values())
+    base = [3 if is_int else 0.75 for _, is_int, _ in table]
+    sigmas = [(i, name) for i, (name, _, check) in enumerate(table) if check is filters._check_sigma]
+    assert bool(sigmas) == (kind != "median")
+    img = Image(_EDGES.data[:channels])
+    for index, name in sigmas:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plane = cls(*base[:index], least, *base[index + 1:]).apply(img)
+        assert np.isfinite(plane.data).all()
+        with pytest.raises(ValueError, match=f"{name} is too small.*got {re.escape(repr(rejected))}"):
+            cls(*base[:index], rejected, *base[index + 1:])
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_sigma_boundary_for_every_kernel(channels):
+    least, rejected = _sigma_bounds()
+    img = Image(_EDGES.data[:channels])
+    guide = Image(1.0 - img.data)
+    kernels = [
+        ("sigma_spatial", lambda s: gaussian_blur(img, s)),
+        ("sigma_spatial", lambda s: bilateral(img, s, 0.5, 5)),
+        ("sigma_range", lambda s: bilateral(img, 1.0, s, 5)),
+        ("sigma_spatial", lambda s: joint_bilateral(img, guide, s, 0.5, 5)),
+        ("sigma_range", lambda s: joint_bilateral(img, guide, 1.0, s, 5)),
+    ]
+    for name, kernel in kernels:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(kernel(least).data).all()
+        with pytest.raises(ValueError, match=f"{name} is too small.*got {re.escape(repr(rejected))}"):
+            kernel(rejected)
 
 
 @pytest.mark.parametrize("kind", list(KINDS))

@@ -250,7 +250,15 @@ def test_forward_matches_residual_stack_reference():
 
 
 def test_forward_outputs_are_the_three_rows():
-    assert [f.name for f in fields(ForwardOutputs)] == ["content", "restored", "merged"]
+    assert [f.name for f in fields(ForwardOutputs)] == ["rows"]
+    rng = np.random.default_rng(95)
+    basis, _ = _synthetic_problem(rng, 3, 5, 6, channels=3)
+    out = forward(_random_model(rng, basis.configs), basis)
+    assert out.rows.shape == (3,) + basis.source.shape
+    for index, name in enumerate(("content", "restored", "merged")):
+        row = getattr(out, name)
+        assert np.shares_memory(row, out.rows)
+        assert np.array_equal(row, out.rows[index])
 
 
 @pytest.mark.parametrize("kind", ["mse", "l1_tv"])
@@ -280,7 +288,7 @@ def test_outputs_clamp_only_on_export():
     )
     out = forward(model, basis)
     assert np.allclose(out.content, 1.8, atol=1e-12)
-    assert np.all(out.content_image().data == 1.0)
+    assert np.all(Image(out.content).data == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +315,10 @@ def test_total_loss_components_weighted_sum():
     # (2,2,0,0) and (2,2,2,0) on four samples.  The source is 0, so restored
     # = source - residual for a residual of (2,2,0,0).
     source = np.zeros((1, 2, 2))
-    outputs = ForwardOutputs(
-        content=np.full((1, 2, 2), 1.0),
-        restored=source - np.array([[[2.0, 2.0], [0.0, 0.0]]]),
-        merged=np.array([[[2.0, 2.0], [2.0, 0.0]]]),
-    )
+    content = np.full((1, 2, 2), 1.0)
+    restored = source - np.array([[[2.0, 2.0], [0.0, 0.0]]])
+    merged = np.array([[[2.0, 2.0], [2.0, 0.0]]])
+    outputs = ForwardOutputs(np.stack([content, restored, merged]))
     gt_clean = Image(np.zeros((1, 2, 2)))
     total, components = total_loss(outputs, gt_clean)
     assert components == (1.0, 2.0, 3.0)
@@ -574,6 +581,34 @@ def test_load_rejects_a_config_naming_a_parameter_twice(tmp_path):
         load_model(path)
     assert str(err.value).startswith(f"{path}: malformed model document: bad filter config")
     assert "parameter 'ss' appears twice" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "branch, field, value, shown",
+    [
+        ("content", "weights", [True, 0.5], "true"),
+        ("residual", "weights", [0.5, False], "false"),
+        ("content", "bias", False, "false"),
+        ("merge", "w_content", True, "true"),
+        ("merge", "bias", "0.5", '"0.5"'),
+        ("residual", "bias", 10**400, None),  # float() overflows
+    ],
+    ids=["weight-true", "weight-false", "bias-false", "merge-true", "bias-string", "bias-huge-int"],
+)
+def test_load_rejects_a_non_number_weight(tmp_path, branch, field, value, shown):
+    # float() reads true as 1.0, false as 0.0 and "0.5" as 0.5.
+    import json
+
+    path = tmp_path / "model.cfmodel"
+    save_model(init_model(_dummy_configs(2)), path)
+    doc = json.loads(path.read_text())
+    doc[branch][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: malformed model document: ")
+    if shown is not None:
+        assert str(err.value).endswith(f"expected a number, got {shown}")
 
 
 def test_vector_round_trip():

@@ -125,6 +125,28 @@ def test_malformed_header_raises(tmp_path):
         read_image(path)
 
 
+@pytest.mark.parametrize(
+    "blob, what, token",
+    [
+        (b"P5\n1_0 1\n255\n" + bytes(10), "width", b"1_0"),
+        (b"P5\n+2 1\n255\n" + bytes(2), "width", b"+2"),
+        (b"P5\n2 -1\n255\n" + bytes(2), "height", b"-1"),
+        (b"P5\n2 1\n2_55\n" + bytes(2), "maxval", b"2_55"),
+        (b"P2\n2 1\n255\n1_0 5\n", "sample", b"1_0"),
+        (b"P2\n2 1\n255\n10 +5\n", "sample", b"+5"),
+        (b"P3\n1 1\n255\n1 2 \xd9\xa3\n", "sample", "\u0663".encode()),
+    ],
+    ids=["width-underscore", "width-plus", "height-minus", "maxval-underscore",
+         "sample-underscore", "sample-plus", "sample-arabic-indic-digit"],
+)
+def test_numbers_are_ascii_decimal_digits_only(tmp_path, blob, what, token):
+    # int() alone reads b"1_0" as 10 and b"+5" as 5.
+    path = tmp_path / "x.pnm"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: non-numeric {what}: {token!r}")):
+        read_image(path)
+
+
 def test_truncated_binary_payload_raises(tmp_path):
     path = tmp_path / "x.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))

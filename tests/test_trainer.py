@@ -81,6 +81,16 @@ def test_lr_schedule_non_increasing_piecewise_constant():
         assert all(v == block[0] for v in block)
 
 
+def test_lr_schedule_past_the_float_range():
+    # 5.0 ** 441 is finite and 5.0 ** 442 overflows: the schedule keeps its
+    # values up to there and then stays at 0.0, never rising.
+    cfg = TrainingConfig(lr_period=1)
+    values = [lr_at(e, cfg) for e in range(500)] + [lr_at(10**9, cfg)]
+    assert values[:442] == [0.1 / 5.0**e for e in range(442)]
+    assert values[442:] == [0.0] * (len(values) - 442)
+    assert all(a >= b for a, b in zip(values, values[1:]))
+
+
 def test_lr_rejects_negative_epoch():
     with pytest.raises(ValueError):
         lr_at(-1, TrainingConfig())
@@ -634,7 +644,7 @@ def test_ablate_builds_each_sample_once(monkeypatch, threads, case, loss_kind):
     content_cfg = replace(cfg, loss=replace(cfg.loss, lam=0.0, gamma=0.0, tv_weight=0.0))
     content_model, _ = train(train_part, configs, content_cfg, val_samples=val_part)
     content = float(np.mean([
-        psnr(forward(content_model, build_basis(s.degraded, configs)).content_image(), s.clean)
+        psnr(Image(forward(content_model, build_basis(s.degraded, configs)).content), s.clean)
         for s in val_part
     ]))
     assert report == AblationReport(evaluate(dual_model, val_part).psnr, content)
